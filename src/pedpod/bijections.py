@@ -30,8 +30,8 @@ while A and B require a part 1 or 2.
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
 propagate.  Exchange-map images absorb any leftover weight as filler parts
-of size 2; the filler count is half the weight deficit and an assertion
-enforces that the deficit is even and non-negative.
+of size 2; the filler count is half the weight deficit and an explicit
+check enforces that the deficit is even and non-negative.
 """
 
 from __future__ import annotations
@@ -92,12 +92,14 @@ class TaggedPreimage:
 def _exact(parts: tuple[int, ...]) -> Partition:
     """Build a partition from parts that must already be non-increasing.
 
-    Used for every pattern-assembled image: if this assertion fires, a case
+    Used for every pattern-assembled image: if this check fires, a case
     table produced parts out of order, which would mean the map recipe and
     not just the bookkeeping is wrong.
     """
-    assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)), parts
-    assert not parts or parts[-1] >= 1, parts
+    if not all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
+        raise RuntimeError(f"map produced parts out of order: {parts}")
+    if parts and parts[-1] < 1:
+        raise RuntimeError(f"map produced a non-positive part: {parts}")
     return Partition._unsafe(parts)
 
 
@@ -494,7 +496,10 @@ def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:
 def _pad_with_twos(head: tuple[int, ...], total: int, append_one: bool) -> Partition:
     spoken_for = sum(head) + (1 if append_one else 0)
     deficit = total - spoken_for
-    assert deficit >= 0 and deficit % 2 == 0, (head, total, append_one)
+    if deficit < 0 or deficit % 2:
+        raise RuntimeError(
+            f"filler deficit {deficit} is not a non-negative even number: {(head, total, append_one)}"
+        )
     parts = head + (2,) * (deficit // 2) + ((1,) if append_one else ())
     return _exact(parts)
 

@@ -35,7 +35,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         ordered = sorted(parts, reverse=True)
         for x in ordered:
-            if not isinstance(x, int) or x < 1:
+            if not isinstance(x, int) or type(x) is bool or x < 1:
                 raise ValueError(f"partition parts must be positive integers, got {x!r}")
         return tuple.__new__(cls, ordered)
 

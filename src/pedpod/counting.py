@@ -11,18 +11,23 @@ where one parity is forced distinct (even parts for the ped family, odd
 parts for the pod family).  Classes with an odd/even largest part are summed
 over that largest part on top of the kernel.  All arithmetic is plain
 Python int, so counts never overflow.
+
+Tables are cached as one growing table per (back-end, class).  The count at
+weight n does not depend on how far a table runs, so a request is served as
+a prefix of the longest table built so far, and only a longer request
+rebuilds it, to exactly the requested length.  Memory is bounded by the
+largest n requested.  Back-ends never read each other's tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .core import Partition, PartitionClass
 from .enumeration import all_partitions
 
-_ENUM_CAP = 50
+ENUM_CAP = 50
 
 
 class Restriction(Enum):
@@ -77,7 +82,6 @@ _SWEEP_SETUP = {
 }
 
 
-@lru_cache(maxsize=None)
 def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
     top = n_max
     if partition_class is PartitionClass.ALL:
@@ -109,10 +113,10 @@ def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
             _apply_part(row, part, parity)
             continue
         if pin == "exactly_once":
-            below = row[:]  # parts <= part - 1: no further copies of the largest
-            _apply_part(row, part, parity)
+            # row still counts parts <= part - 1: no further copies of the largest
             for n in range(part, top + 1):
-                out[n] += below[n - part]
+                out[n] += row[n - part]
+            _apply_part(row, part, parity)
         else:
             _apply_part(row, part, parity)
             copies = 1 if pin == "at_least_once" else 2
@@ -122,7 +126,6 @@ def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
 def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
     """Count every class at every weight <= n_max by one classification pass."""
     tables = {cls: [0] * (n_max + 1) for cls in PartitionClass}
@@ -248,37 +251,61 @@ class CountTable:
         }
 
 
-def _normalize_backend(backend: str) -> str:
+def normalize_backend(backend: str) -> str:
+    """The canonical tag (ENUM, DP or SERIES) for a back-end name."""
     tag = backend.strip().upper()
     if tag not in ("ENUM", "DP", "SERIES"):
         raise ValueError(f"unknown backend {backend!r} (known: enum, dp, series)")
     return tag
 
 
+def _series_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
+    raw = series_coefficients(series_spec_for(partition_class, n_max))
+    if partition_class in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
+        raw[0] = 0  # empty-partition convention, matching the other back-ends
+    return tuple(raw)
+
+
+# The longest table built so far for each (back-end tag, class).
+_TABLES: dict[tuple[str, PartitionClass], tuple[int, ...]] = {}
+
+
+def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tuple[int, ...]:
+    """The stored table for the class, rebuilt to exactly n_max if it is shorter.
+
+    The enum cap is checked before the store is read, so errors do not depend
+    on what it holds.  A series request for a class with no product form
+    raises in the build, because the store never holds such an entry.
+    """
+    if tag == "ENUM" and n_max > ENUM_CAP:
+        raise ValueError(f"enum backend is capped at n_max <= {ENUM_CAP}; use dp")
+    key = (tag, partition_class)
+    counts = _TABLES.get(key, ())
+    if len(counts) <= n_max:
+        if tag == "ENUM":
+            _TABLES.update(((tag, cls), row) for cls, row in _enum_counts(n_max).items())
+        elif tag == "DP":
+            _TABLES[key] = _dp_counts(partition_class, n_max)
+        else:
+            _TABLES[key] = _series_counts(partition_class, n_max)
+        counts = _TABLES[key]
+    return counts
+
+
 def count_table(partition_class: PartitionClass, n_max: int, backend: str = "dp") -> CountTable:
-    """Build the 0..n_max count table for a class with the chosen backend."""
+    """The 0..n_max count table for a class with the chosen backend."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    tag = _normalize_backend(backend)
-    if tag == "DP":
-        counts = _dp_counts(partition_class, n_max)
-    elif tag == "ENUM":
-        if n_max > _ENUM_CAP:
-            raise ValueError(f"enum backend is capped at n_max <= {_ENUM_CAP}; use dp")
-        counts = _enum_counts(n_max)[partition_class]
-    else:
-        raw = series_coefficients(series_spec_for(partition_class, n_max))
-        if partition_class in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
-            raw[0] = 0  # empty-partition convention, matching the other back-ends
-        counts = tuple(raw)
-    return CountTable(partition_class, n_max, counts, tag)
+    tag = normalize_backend(backend)
+    counts = _stored_counts(partition_class, n_max, tag)
+    return CountTable(partition_class, n_max, counts[: n_max + 1], tag)
 
 
 def class_count(partition_class: PartitionClass, n: int, backend: str = "dp") -> int:
     """The number of partitions of n in the class."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return count_table(partition_class, n, backend).counts[n]
+    return _stored_counts(partition_class, n, normalize_backend(backend))[n]
 
 
 def four_regular_count(n: int) -> int:

@@ -36,7 +36,7 @@ from .bijections import (
     get_bijection,
 )
 from .core import Partition, PartitionClass, is_member
-from .counting import count_table
+from .counting import ENUM_CAP, count_table, normalize_backend
 from .enumeration import all_partitions
 
 _AUDIT_WEIGHT_CAP = 40
@@ -228,8 +228,14 @@ def verify_identity(
     spec = get_identity(identity)
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
-    top = n_hi + max((off for _, off in (*spec.lhs, spec.rhs)), default=0)
-    top = max(top, n_hi)
+    reach = max(0, *(off for _, off in (*spec.lhs, spec.rhs)))
+    top = n_hi + reach
+    if normalize_backend(backend) == "ENUM" and top > ENUM_CAP:
+        raise ValueError(
+            f"identity {spec.identity_id} reads counts up to n_hi+{reach}, and the enum "
+            f"backend is capped at n_max <= {ENUM_CAP}, so n_hi (--to) must be at most "
+            f"{ENUM_CAP - reach}; use dp"
+        )
     tables = {}
     for cls, _ in (*spec.lhs, spec.rhs):
         if cls not in tables:

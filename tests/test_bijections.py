@@ -1,5 +1,8 @@
 """Frozen input/output pairs, domain gating, and exhaustive round trips."""
 
+import subprocess
+import sys
+
 import pytest
 
 from pedpod.bijections import (
@@ -8,6 +11,8 @@ from pedpod.bijections import (
     DomainError,
     TaggedPreimage,
     TotalDecomposition,
+    _exact,
+    _pad_with_twos,
     b1_forward,
     b1_inverse,
     b2_exceptional_forward,
@@ -277,3 +282,30 @@ def test_exchange_weight_is_conserved():
             assert b2_exchange_ca_forward(p).weight == p.weight
         for p in s2["D"] - s2["D'"]:
             assert b2_exchange_db_forward(p).weight == p.weight
+
+
+def test_image_invariants_raise():
+    with pytest.raises(RuntimeError, match="out of order"):
+        _exact((2, 3))
+    with pytest.raises(RuntimeError, match="non-positive"):
+        _exact((2, 0))
+    with pytest.raises(RuntimeError, match="deficit -1"):
+        _pad_with_twos((5,), 4, False)
+    with pytest.raises(RuntimeError, match="deficit 3"):
+        _pad_with_twos((5,), 8, False)
+    assert _pad_with_twos((5,), 10, True) == P(5, 2, 2, 1)
+
+
+def test_image_invariants_survive_optimize(pedpod_env):
+    script = (
+        "from pedpod.bijections import _exact\n"
+        "try:\n"
+        "    _exact((2, 3))\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=pedpod_env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised"

@@ -184,6 +184,19 @@ def test_out_of_range_n_exit_two(capsys):
     assert code == 2
 
 
+def test_verify_enum_cap_counts_the_identity_offset(capsys):
+    code, out, err = run(["verify", "--identity", "T3", "--to", "49", "--backend", "enum"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "T3" in err and "n_hi+2" in err and "at most 48" in err
+    code, _, err = run(["verify", "--identity", "T6", "--to", "49", "--backend", "enum"], capsys)
+    assert code == 2
+    assert "T6" in err and "at most 48" in err
+    code, _, err = run(["verify", "--identity", "T1", "--to", "51", "--backend", "enum"], capsys)
+    assert code == 2
+    assert "T1" in err and "at most 50" in err
+
+
 def test_count_and_list_are_byte_identical_across_runs(capsys):
     first = run(["count", "--class", "o2", "--to", "12", "--format", "csv"], capsys)
     second = run(["count", "--class", "o2", "--to", "12", "--format", "csv"], capsys)
@@ -210,11 +223,12 @@ def test_width_hint_ignores_garbage(monkeypatch, capsys):
     assert out.splitlines() == ["(3,1)", "(1,1,1,1)"]
 
 
-def test_module_entry_point():
+def test_module_entry_point(pedpod_env):
     result = subprocess.run(
         [sys.executable, "-m", "pedpod", "count", "--class", "ped", "--to", "3", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=pedpod_env,
     )
     assert result.returncode == 0
     assert result.stdout.splitlines() == ["n,count", "0,1", "1,1", "2,2", "3,3"]

@@ -94,6 +94,10 @@ def test_partition_rejects_bad_parts():
         Partition((3, -1))
     with pytest.raises(ValueError):
         Partition((2.5, 1))
+    with pytest.raises(ValueError):
+        Partition((True, 2))
+    with pytest.raises(ValueError):
+        Partition((False,))
 
 
 def test_weight_and_multiplicity():

@@ -1,9 +1,16 @@
 """Counting back-ends against brute-force oracles and known values."""
 
+import json
+import random
+import subprocess
+import sys
+
 import pytest
 
+from pedpod import counting
 from pedpod.core import PartitionClass, is_member
 from pedpod.counting import (
+    ENUM_CAP,
     CountTable,
     ProductFactor,
     Restriction,
@@ -16,6 +23,14 @@ from pedpod.counting import (
     series_spec_for,
 )
 from pedpod.enumeration import all_partitions
+
+SERIES_CLASSES = (
+    PartitionClass.PED,
+    PartitionClass.PED_GT1,
+    PartitionClass.POD,
+    PartitionClass.POD_GT2,
+    PartitionClass.FOUR_REGULAR,
+)
 
 
 def _brute_restricted(n, max_part, min_part, restriction):
@@ -83,13 +98,7 @@ def test_backends_agree_on_all_classes():
 
 
 def test_series_backend_agrees_where_defined():
-    for cls in (
-        PartitionClass.PED,
-        PartitionClass.PED_GT1,
-        PartitionClass.POD,
-        PartitionClass.POD_GT2,
-        PartitionClass.FOUR_REGULAR,
-    ):
+    for cls in SERIES_CLASSES:
         assert count_table(cls, 60, "series").counts == count_table(cls, 60, "dp").counts
 
 
@@ -155,3 +164,112 @@ def test_counts_are_exact_big_integers():
     total = class_count(PartitionClass.ALL, 300)
     assert total == 9253082936723602
     assert class_count(PartitionClass.PED, 300) == class_count(PartitionClass.FOUR_REGULAR, 300)
+
+
+# ---------------------------------------------------------------------------
+# The table store: one growing table per (back-end, class)
+
+BACKEND_CLASSES = {
+    "enum": tuple(PartitionClass),
+    "dp": tuple(PartitionClass),
+    "series": SERIES_CLASSES,
+}
+# (small, large) request sizes per back-end; enum stays cheap well below its cap.
+SIZES = {"enum": (12, 26), "dp": (40, 150), "series": (40, 150)}
+
+_FRESH_SCRIPT = """
+import json, sys
+from pedpod.core import PartitionClass
+from pedpod.counting import count_table
+backend, n_max, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+print(json.dumps({c: list(count_table(PartitionClass(c), n_max, backend).counts) for c in names}))
+"""
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    store = {}
+    monkeypatch.setattr(counting, "_TABLES", store)
+    return store
+
+
+def _fresh_tables(backend, n_max, env):
+    """Each class's table at n_max, built by a fresh interpreter that builds nothing else."""
+    names = [c.value for c in BACKEND_CLASSES[backend]]
+    result = subprocess.run(
+        [sys.executable, "-c", _FRESH_SCRIPT, backend, str(n_max), *names],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return {PartitionClass(c): tuple(v) for c, v in json.loads(result.stdout).items()}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
+def test_tables_match_a_fresh_interpreter_in_either_order(backend, pedpod_env, monkeypatch):
+    small, large = SIZES[backend]
+    fresh = {n: _fresh_tables(backend, n, pedpod_env) for n in (small, large)}
+    for cls in BACKEND_CLASSES[backend]:
+        for order in ((large, small), (small, large)):
+            monkeypatch.setattr(counting, "_TABLES", {})
+            for n in order:
+                assert count_table(cls, n, backend).counts == fresh[n][cls], (cls, order, n)
+
+
+def test_table_length_matches_the_request(empty_store):
+    for backend, classes in BACKEND_CLASSES.items():
+        small, large = SIZES[backend]
+        for n in (large, small, 0, large + 3, small + 1):
+            for cls in classes:
+                table = count_table(cls, n, backend)
+                assert table.n_max == len(table.counts) - 1 == n, (backend, cls, n)
+
+
+def test_store_keeps_one_longest_table_per_backend_and_class(empty_store):
+    rng = random.Random(20241018)
+    keys = [(b, cls) for b, classes in BACKEND_CLASSES.items() for cls in classes]
+    calls = []
+    for _ in range(50):
+        backend, cls = rng.choice(keys)
+        n = rng.randint(0, SIZES[backend][1] if backend == "enum" else 300)
+        calls.append((backend, cls, n, class_count(cls, n, backend)))
+    longest = {}
+    for backend, cls, n, _ in calls:
+        key = (backend.upper(), cls)
+        longest[key] = max(longest.get(key, -1), n)
+    enum_top = max((n for (tag, _), n in longest.items() if tag == "ENUM"), default=None)
+    if enum_top is not None:  # one enum build fills every class
+        longest.update({("ENUM", cls): enum_top for cls in PartitionClass})
+    assert {key: len(t) - 1 for key, t in empty_store.items()} == longest
+    reference = {cls: count_table(cls, 300, "dp").counts for cls in PartitionClass}
+    for backend, cls, n, value in calls:
+        assert value == reference[cls][n], (backend, cls, n)
+
+
+def _store_errors():
+    return [
+        (lambda: count_table(PartitionClass.PED, -1, "dp"), "n_max must be non-negative"),
+        (lambda: class_count(PartitionClass.POD, -1, "series"), "n must be non-negative"),
+        (lambda: count_table(PartitionClass.PED, 5, "magic"), "unknown backend"),
+        (lambda: class_count(PartitionClass.D1, 5, "magic"), "unknown backend"),
+        (lambda: count_table(PartitionClass.PED, ENUM_CAP + 1, "enum"), "capped"),
+        (lambda: class_count(PartitionClass.O2, ENUM_CAP + 1, "enum"), "capped"),
+        (lambda: count_table(PartitionClass.O3, 5, "series"), "no product form"),
+        (lambda: class_count(PartitionClass.D1, 5, "series"), "no product form"),
+    ]
+
+
+def test_errors_do_not_depend_on_the_store(empty_store):
+    for call, message in _store_errors():
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert empty_store == {}
+    for backend, classes in BACKEND_CLASSES.items():
+        for cls in classes:
+            count_table(cls, SIZES[backend][1], backend)
+    warm = dict(empty_store)
+    for call, message in _store_errors():
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert empty_store == warm
