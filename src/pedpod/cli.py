@@ -10,7 +10,10 @@ Subcommands:
     crosscheck  compare the counting back-ends against each other
 
 Exit status: 0 on success, 1 when a verification or audit fails, 2 on
-usage errors (unknown selectors, malformed partitions, bad ranges).
+usage errors (unknown selectors, malformed partitions, bad ranges).  Two
+fixed caps bound the output: `count --to` is at most 10000 on every
+back-end (the enum back-end stops earlier, at 50), and `list --n` is at
+most 60, where `list --class all` prints p(60) = 966467 lines.
 Output is deterministic for fixed inputs.  The PEDPOD_WIDTH environment
 variable, when set to a positive integer, caps the line width of table
 output; csv and json output ignore it.
@@ -35,6 +38,8 @@ from .verification import (
 )
 
 _FORMATS = ("table", "csv", "json")
+COUNT_TO_CAP = 10000
+LIST_N_CAP = 60
 _TAG_OFFSETS = {"n": 0, "n-3": -3}
 
 
@@ -72,7 +77,13 @@ def _count_text(table: CountTable) -> str:
     return "\n".join(lines)
 
 
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} is capped at {cap}, got {value}")
+
+
 def _cmd_count(args) -> int:
+    _check_cap("count --to", args.to, COUNT_TO_CAP)
     table = count_table(_class_from(args), args.to, args.backend)
     if args.format == "json":
         _emit(_json(table.to_obj()), "json")
@@ -84,6 +95,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    _check_cap("list --n", args.n, LIST_N_CAP)
     listing = class_members(args.n, _class_from(args))
     if args.format == "json":
         _emit(_json(listing.to_obj()), "json")

@@ -2,7 +2,7 @@
 
 Three interchangeable back-ends produce the same tables:
 
-    ENUM    filter the exhaustive stream (small n only),
+    ENUM    one walk that visits every partition once (small n only),
     DP      part-by-part dynamic programming over exact Python integers,
     SERIES  coefficients of truncated products of (1 +- q^k)^(+-1).
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Partition, PartitionClass
-from .enumeration import all_partitions
 
 ENUM_CAP = 50
 
@@ -126,32 +125,90 @@ def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The enum walk tallies each partition under a node code: three flags (even
+# parts distinct, odd parts distinct, no part divisible by 4), the head shape
+# (empty, or the parity of the largest part and whether it repeats) and the
+# smallest part capped at 3.  Those fields decide membership in every class.
+_EVEN_DISTINCT, _ODD_DISTINCT, _NO_FOURS = 4, 2, 1
+_ALL_FLAGS = _EVEN_DISTINCT | _ODD_DISTINCT | _NO_FOURS
+# Each *_REPEATED head is its *_SINGLE head plus one.
+_EMPTY, _ODD_SINGLE, _ODD_REPEATED, _EVEN_SINGLE, _EVEN_REPEATED = range(5)
+
+
+def _code_members(flags: int, head: int, smallest: int) -> list[PartitionClass]:
+    """The classes whose members have this node code."""
+    C = PartitionClass
+    members = [C.ALL]
+    if flags & _NO_FOURS:
+        members.append(C.FOUR_REGULAR)
+    if flags & _EVEN_DISTINCT:
+        members.append(C.PED)
+        if head != _EMPTY and smallest > 1:
+            members.append(C.PED_GT1)
+        if head in (_ODD_SINGLE, _ODD_REPEATED):
+            members += [C.D1, C.D2 if head == _ODD_REPEATED else C.D3]
+    if flags & _ODD_DISTINCT:
+        members.append(C.POD)
+        if head != _EMPTY and smallest > 2:
+            members.append(C.POD_GT2)
+        if head in (_EVEN_SINGLE, _EVEN_REPEATED):
+            members += [C.O1, C.O2 if head == _EVEN_REPEATED else C.O3]
+    return members
+
+
 def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
-    """Count every class at every weight <= n_max by one classification pass."""
-    tables = {cls: [0] * (n_max + 1) for cls in PartitionClass}
-    for n in range(n_max + 1):
-        for p in all_partitions(n):
-            ped = all(not (a == b and a % 2 == 0) for a, b in zip(p, p[1:]))
-            pod = all(not (a == b and a % 2 == 1) for a, b in zip(p, p[1:]))
-            tables[PartitionClass.ALL][n] += 1
-            if all(x % 4 for x in p):
-                tables[PartitionClass.FOUR_REGULAR][n] += 1
-            if ped:
-                tables[PartitionClass.PED][n] += 1
-                if p and p[-1] > 1:
-                    tables[PartitionClass.PED_GT1][n] += 1
-                if p and p[0] % 2 == 1:
-                    tables[PartitionClass.D1][n] += 1
-                    repeated = len(p) > 1 and p[1] == p[0]
-                    tables[PartitionClass.D2 if repeated else PartitionClass.D3][n] += 1
-            if pod:
-                tables[PartitionClass.POD][n] += 1
-                if p and p[-1] > 2:
-                    tables[PartitionClass.POD_GT2][n] += 1
-                if p and p[0] % 2 == 0:
-                    tables[PartitionClass.O1][n] += 1
-                    repeated = len(p) > 1 and p[1] == p[0]
-                    tables[PartitionClass.O2 if repeated else PartitionClass.O3][n] += 1
+    """Count every class at every weight <= n_max by one walk over all partitions.
+
+    The walk visits the tree of partitions of weight <= n_max depth first; a
+    child appends a part no larger than its parent's last, so every partition
+    is visited exactly once.  Each visit classifies its partition in O(1) from
+    state passed down the walk and adds one to hist[code][weight].
+    """
+    width = n_max + 1
+    # hist is flat: (flags * 15 + head * 3 + min(smallest, 3) - 1) * width + weight
+    flag_stride = 15 * width
+    hist = [0] * ((_ALL_FLAGS + 1) * flag_stride)
+    head_at = [head * 3 * width for head in range(5)]
+    smallest_at = [0] + [(min(j, 3) - 1) * width + j for j in range(1, width)]
+    # flags kept when appending part j below a larger part, or next to an equal one
+    below = [0] + [_ALL_FLAGS if j % 4 else _ALL_FLAGS & ~_NO_FOURS for j in range(1, width)]
+    equal = [0] + [below[j] & ~(_ODD_DISTINCT if j % 2 else _EVEN_DISTINCT) for j in range(1, width)]
+
+    def walk(w: int, k: int, flags: int, equal_head: int, below_head: int) -> None:
+        # Children of a node of weight w whose last part is k.  Appending a
+        # part equal to k gives head row offset equal_head, a smaller part
+        # below_head; they differ only under a one-part node.
+        room = n_max - w
+        j = k if k < room else room
+        if j == k:
+            f = flags & equal[j]
+            hist[f * flag_stride + equal_head + smallest_at[j] + w] += 1
+            if j < room:
+                walk(w + j, j, f, equal_head, equal_head)
+            j -= 1
+        while j:
+            f = flags & below[j]
+            hist[f * flag_stride + below_head + smallest_at[j] + w] += 1
+            if j < room:
+                walk(w + j, j, f, below_head, below_head)
+            j -= 1
+
+    hist[_ALL_FLAGS * flag_stride + head_at[_EMPTY]] += 1  # the empty partition
+    for a in range(1, width):  # the one-part partitions (a) and their subtrees
+        single = _ODD_SINGLE if a % 2 else _EVEN_SINGLE
+        hist[below[a] * flag_stride + head_at[single] + smallest_at[a]] += 1
+        if a < n_max:
+            walk(a, a, below[a], head_at[single + 1], head_at[single])
+
+    tables = {cls: [0] * width for cls in PartitionClass}
+    for flags in range(_ALL_FLAGS + 1):
+        for head in range(5):
+            for smallest in (1, 2, 3):
+                start = flags * flag_stride + head_at[head] + (smallest - 1) * width
+                row = hist[start:start + width]
+                if any(row):
+                    for cls in _code_members(flags, head, smallest):
+                        tables[cls] = [a + b for a, b in zip(tables[cls], row)]
     return {cls: tuple(row) for cls, row in tables.items()}
 
 

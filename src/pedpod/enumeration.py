@@ -1,19 +1,23 @@
 """Exhaustive generation of partitions and of class member listings.
 
 partitions_of(n) yields every partition of n in lexicographically decreasing
-order, starting from (n) and ending at (1,...,1).  Listings filter that
-stream by class membership, preserving the order.  Generation is intended
-for small n (roughly n <= 45); counting at larger n belongs to the DP and
-series back-ends.
+order, starting from (n) and ending at (1,...,1).  Listings are generated per
+class: a pruned recursion places one distinct part size at a time, largest
+size and most copies first, and never builds a partition outside the class.
+So a listing costs time in proportion to the class, not to p(n), and comes
+out in the same decreasing order as the filtered stream.  The `all` listing
+is the stream itself.  Neither path reads or fills the all_partitions cache.
+Generation is for small n; counting at larger n belongs to the DP and series
+back-ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .core import Partition, PartitionClass, is_member
+from .core import Partition, PartitionClass
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -68,10 +72,80 @@ class ClassListing:
         }
 
 
+class _ListingSpec(NamedTuple):
+    """What a class asks of its members, as the generator prunes by it."""
+
+    distinct: int | None  # parity whose parts appear at most once each
+    lowest: int = 1  # the smallest allowed part
+    skip_fours: bool = False  # no part divisible by 4
+    top_parity: int | None = None  # parity the largest part must have
+    top_copies: tuple[int, int | None] = (1, None)  # fewest, most copies of the largest
+
+
+_LISTING_SPECS = {
+    PartitionClass.FOUR_REGULAR: _ListingSpec(None, skip_fours=True),
+    PartitionClass.PED: _ListingSpec(0),
+    PartitionClass.PED_GT1: _ListingSpec(0, lowest=2),
+    PartitionClass.D1: _ListingSpec(0, top_parity=1),
+    PartitionClass.D2: _ListingSpec(0, top_parity=1, top_copies=(2, None)),
+    PartitionClass.D3: _ListingSpec(0, top_parity=1, top_copies=(1, 1)),
+    PartitionClass.POD: _ListingSpec(1),
+    PartitionClass.POD_GT2: _ListingSpec(1, lowest=3),
+    PartitionClass.O1: _ListingSpec(1, top_parity=0),
+    PartitionClass.O2: _ListingSpec(1, top_parity=0, top_copies=(2, None)),
+    PartitionClass.O3: _ListingSpec(1, top_parity=0, top_copies=(1, 1)),
+}
+
+
+def _generate_members(n: int, spec: _ListingSpec) -> tuple[Partition, ...]:
+    """The partitions of n >= 0 meeting the spec, in decreasing lex order."""
+    distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec
+    out: list[Partition] = []
+    parts: list[int] = []
+    wrap = Partition._unsafe
+
+    def place(v: int, rest: int, fewest: int, most: int | None) -> None:
+        # Copies of v from the most down to the fewest, each followed by every
+        # completion of what is left from parts below v.
+        top = 1 if v % 2 == distinct else rest // v
+        if most is not None:
+            top = min(top, most)
+        for m in range(top, fewest - 1, -1):
+            left = rest - m * v
+            parts.extend((v,) * m)
+            if not left:
+                out.append(wrap(tuple(parts)))
+            elif v > lowest:
+                fill(left, v - 1)
+            del parts[-m:]
+
+    def fill(rest: int, largest: int) -> None:
+        # Every way to make rest from parts <= largest; the smallest allowed
+        # part can only finish the partition, so it is placed last, directly.
+        for v in range(min(largest, rest), lowest, -1):
+            if not (skip_fours and v % 4 == 0):
+                place(v, rest, 1, None)
+        copies, extra = divmod(rest, lowest)
+        if not extra and (copies == 1 or lowest % 2 != distinct):
+            out.append(wrap(tuple(parts) + (lowest,) * copies))
+
+    if n == 0:
+        if top_parity is None and lowest == 1:
+            out.append(wrap(()))
+    elif top_parity is None:
+        fill(n, n)
+    else:
+        for v in range(n if n % 2 == top_parity else n - 1, 0, -2):
+            place(v, n, fewest_top, most_top)
+    return tuple(out)
+
+
 def class_members(n: int, partition_class: PartitionClass) -> ClassListing:
     """List the partitions of n lying in a class, in decreasing lex order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    source = all_partitions(n) if n <= 40 else partitions_of(n)
-    members = tuple(p for p in source if is_member(p, partition_class))
+    if partition_class is PartitionClass.ALL:
+        members = tuple(partitions_of(n))
+    else:
+        members = _generate_members(n, _LISTING_SPECS[partition_class])
     return ClassListing(n, partition_class, members)

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 import pedpod.cli as cli
+from pedpod.core import PartitionClass
+from pedpod.enumeration import class_members
 
 
 def run(argv, capsys):
@@ -182,6 +184,29 @@ def test_out_of_range_n_exit_two(capsys):
     assert code == 2
     code, _, _ = run(["count", "--class", "d1", "--to", "5", "--backend", "series"], capsys)
     assert code == 2
+
+
+def test_list_n_is_capped(capsys):
+    code, out, err = run(["list", "--class", "o2", "--n", str(cli.LIST_N_CAP + 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "list --n" in err and str(cli.LIST_N_CAP) in err
+    code, out, _ = run(["list", "--class", "o2", "--n", str(cli.LIST_N_CAP)], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == len(class_members(cli.LIST_N_CAP, PartitionClass.O2).members)
+    assert class_members(cli.LIST_N_CAP + 1, PartitionClass.O2).members  # the library is uncapped
+
+
+def test_count_to_is_capped_on_every_backend(capsys):
+    for backend in ("dp", "series", "enum"):
+        argv = ["count", "--class", "ped", "--to", str(cli.COUNT_TO_CAP + 1), "--backend", backend]
+        code, out, err = run(argv, capsys)
+        assert code == 2, backend
+        assert out == ""
+        assert "count --to" in err and str(cli.COUNT_TO_CAP) in err, backend
+    code, _, err = run(["count", "--class", "ped", "--to", "51", "--backend", "enum"], capsys)
+    assert code == 2
+    assert err == "error: enum backend is capped at n_max <= 50; use dp\n"
 
 
 def test_verify_enum_cap_counts_the_identity_offset(capsys):

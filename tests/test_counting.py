@@ -117,6 +117,18 @@ def test_dp_matches_direct_enumeration_with_membership():
             assert table[n] == direct, (cls, n)
 
 
+def test_enum_walk_matches_direct_enumeration_with_membership(empty_store):
+    for cls in PartitionClass:
+        table = count_table(cls, 30, "enum").counts
+        for n in range(0, 31):
+            assert table[n] == sum(1 for p in all_partitions(n) if is_member(p, cls)), (cls, n)
+
+
+def test_enum_matches_dp_at_the_enum_cap(empty_store):
+    for cls in PartitionClass:
+        assert count_table(cls, ENUM_CAP, "enum").counts == count_table(cls, ENUM_CAP, "dp").counts, cls
+
+
 def test_gt_classes_drop_the_empty_partition_everywhere():
     for cls in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
         assert count_table(cls, 6, "enum").counts[0] == 0

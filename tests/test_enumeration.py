@@ -2,7 +2,8 @@
 
 import pytest
 
-from pedpod.core import Partition, PartitionClass
+from pedpod import counting
+from pedpod.core import Partition, PartitionClass, is_member
 from pedpod.enumeration import all_partitions, class_members, partitions_of
 
 
@@ -106,3 +107,20 @@ def test_members_preserve_enumeration_order():
             members = class_members(n, cls).members
             filtered = tuple(p for p in stream if p in set(members))
             assert members == filtered
+
+
+def test_listings_equal_the_filtered_stream():
+    for n in range(0, 31):
+        for cls in PartitionClass:
+            expected = tuple(p for p in all_partitions(n) if is_member(p, cls))
+            assert class_members(n, cls).members == expected, (n, cls)
+
+
+def test_listings_and_enum_counts_leave_the_partition_cache_alone(monkeypatch):
+    monkeypatch.setattr(counting, "_TABLES", {})  # force a fresh enum build
+    before = all_partitions.cache_info()
+    for n in (40, 45):
+        class_members(n, PartitionClass.D2)
+        class_members(n, PartitionClass.O1)
+    counting.count_table(PartitionClass.PED, 40, "enum")
+    assert all_partitions.cache_info() == before
