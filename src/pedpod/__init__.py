@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-    core          partition values, class predicates, shape views
+    core          partition values and class predicates
     enumeration   exhaustive generation and class member listings
     counting      three independent counting back-ends (enum, dp, series)
     bijections    the weight-shifting maps behind six counting identities
@@ -10,26 +10,14 @@ The package is organized bottom-up:
     cli           command line front end
 """
 
-from .core import (
-    Partition,
-    PartitionClass,
-    ShapeDescriptor,
-    format_partition,
-    is_member,
-    make_partition,
-    parse_partition,
-    shape,
-)
+from .core import Partition, PartitionClass, is_member, parse_partition
 from .enumeration import ClassListing, all_partitions, class_members, partitions_of
 from .counting import (
     CountTable,
     ProductFactor,
-    Restriction,
     SeriesProductSpec,
     class_count,
     count_table,
-    four_regular_count,
-    restricted_count,
     series_coefficients,
     series_spec_for,
 )
@@ -66,24 +54,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Partition",
     "PartitionClass",
-    "ShapeDescriptor",
-    "format_partition",
     "is_member",
-    "make_partition",
     "parse_partition",
-    "shape",
     "ClassListing",
     "all_partitions",
     "class_members",
     "partitions_of",
     "CountTable",
     "ProductFactor",
-    "Restriction",
     "SeriesProductSpec",
     "class_count",
     "count_table",
-    "four_regular_count",
-    "restricted_count",
     "series_coefficients",
     "series_spec_for",
     "Bijection",

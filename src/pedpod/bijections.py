@@ -18,6 +18,13 @@ sets of partitions.  Fourteen maps are registered under stable dotted names:
     thm6.add            O3(n-1)            -> POD(n), odd largest, gap 2    (+1)
     thm6.sub            O3(n+2)            -> the rest of POD(n)            (-2)
 
+The pod maps thm4.add, thm5.shift, thm6.add and thm6.sub mirror thm1.add,
+thm2.shift, thm3.add and thm3.sub with the parities swapped, so one builder,
+`_mirror_family`, makes both sets of four from the family class, the parity
+of the domain's largest part, the three domain classes and each map's least
+codomain weight (its identity's threshold).  They share five recipes: raise
+the top part, lower it, shift the two leading parts up or down, and sub.
+
 The thm2 letter sets live inside PED(n): C has an even largest part and no
 part 1, D has an odd largest part with a gap of at least 2 below it and no
 part 1, A is the D2 members containing a 1, and B has shape (L, L-1, ...)
@@ -26,6 +33,12 @@ exceptional map trades between.  The thm5 letter sets are the analogues
 inside POD(n) with the roles of the parities swapped and with parts 1 and 2
 acting as the small parts: C and D require every part to be at least 3,
 while A and B require a part 1 or 2.
+
+Each registered forward and inverse is its recipe behind one guard built
+from the entry's own predicates (`in_domain`/`in_codomain`, or for a tagged
+decomposition `domain_class` from `min_weight` and `bucket_class`); outside
+them it raises DomainError.  The module-level recipes are unguarded, and the
+totals call them directly, so no predicate runs twice in one call.
 
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
@@ -88,6 +101,9 @@ class TaggedPreimage:
     def tag_text(self) -> str:
         return "n" if self.offset == 0 else f"n{self.offset}"
 
+    def __str__(self) -> str:
+        return f"{self.partition.to_text()} @ {self.tag_text()}"
+
 
 def _exact(parts: tuple[int, ...]) -> Partition:
     """Build a partition from parts that must already be non-increasing.
@@ -107,59 +123,44 @@ def _ones(count: int) -> Partition:
     return Partition._unsafe((1,) * count)
 
 
-def _require(condition: bool, p: Partition, why: str) -> None:
-    if not condition:
-        raise DomainError(f"{p.to_text()} is outside the domain: {why}")
-
-
 # ---------------------------------------------------------------------------
-# thm1.add: D1(n-1) -> PED(n) with even largest part
+# The recipes shared by the ped family and its pod mirror.
 
 
-def b1_forward(p: Partition) -> Partition:
-    _require(is_member(p, PartitionClass.D1), p, "expected a D1 member")
-    return _exact((p[0] + 1,) + tuple(p[1:]))
+def _raise_top(p: Partition) -> Partition:
+    return _exact((p[0] + 1,) + p[1:])
 
 
-def b1_inverse(q: Partition) -> Partition:
-    _require(_b1_in_codomain(q), q, "expected a PED member with even largest part")
-    return _exact((q[0] - 1,) + tuple(q[1:]))
-
-
-def _b1_in_codomain(q: Partition) -> bool:
-    return bool(q) and q[0] % 2 == 0 and is_member(q, PartitionClass.PED)
-
-
-# ---------------------------------------------------------------------------
-# thm2.shift: D2(n-3) -> PED(n) of shape (L, L-1, ...), adding 2 and 1 to
-# the two leading parts.  The inverse subtracts them again.
+def _lower_top(q: Partition) -> Partition:
+    return _exact((q[0] - 1,) + q[1:])
 
 
 def _shift_up(p: Partition) -> Partition:
-    return _exact((p[0] + 2, p[0] + 1) + tuple(p[2:]))
+    """Add 2 and 1 to the two leading parts (L, L) of a D2/O2 member."""
+    return _exact((p[0] + 2, p[0] + 1) + p[2:])
 
 
 def _shift_down(q: Partition) -> Partition:
-    return _exact((q[0] - 2, q[0] - 2) + tuple(q[2:]))
+    return _exact((q[0] - 2, q[0] - 2) + q[2:])
 
 
-def b2_shift_forward(p: Partition) -> Partition:
-    _require(is_member(p, PartitionClass.D2), p, "expected a D2 member")
-    return _shift_up(p)
+def _sub(p: Partition) -> Partition:
+    return Partition((p[0] - 2,) + p[1:])  # may need re-sorting
 
 
-def b2_shift_inverse(q: Partition) -> Partition:
-    _require(_b2_shift_in_codomain(q), q, "expected PED of shape (L, L-1, ...) with L odd")
-    return _shift_down(q)
+def _unsub(top: int) -> Callable[[Partition], Partition]:
+    """The inverse of _sub on a family whose domain largest parts have parity top.
 
+    The lowered part is q[0] if it still has parity top; otherwise it slid
+    below the part one smaller than itself, and sits at q[1] = q[0] - 1.
+    """
 
-def _b2_shift_in_codomain(q: Partition) -> bool:
-    return (
-        len(q) > 1
-        and q[0] % 2 == 1
-        and q[1] == q[0] - 1
-        and is_member(q, PartitionClass.PED)
-    )
+    def unsub(q: Partition) -> Partition:
+        if q[0] % 2 == top:
+            return _exact((q[0] + 2,) + q[1:])
+        return _exact((q[0] + 1, q[0]) + q[2:])
+
+    return unsub
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,6 @@ def in_set_b2_prime(p: Partition) -> bool:
 
 
 def b2_exchange_ca_forward(p: Partition) -> Partition:
-    _require(in_set_c2(p) and not in_set_c2_prime(p), p, "expected a member of C minus C'")
     largest, second, tail = p[0], p[1], tuple(p[2:])
     if second % 2 == 1:
         return _exact((second, second) + tail + (1,) * (largest - second))
@@ -234,7 +234,6 @@ def b2_exchange_ca_forward(p: Partition) -> Partition:
 
 
 def b2_exchange_ca_inverse(q: Partition) -> Partition:
-    _require(in_set_a2(q) and not in_set_a2_prime(q), q, "expected a member of A minus A'")
     ones = q.multiplicity(1)
     body = tuple(q[: len(q) - ones])
     a = q[0]
@@ -249,7 +248,6 @@ def b2_exchange_ca_inverse(q: Partition) -> Partition:
 
 
 def b2_exchange_db_forward(p: Partition) -> Partition:
-    _require(in_set_d2(p) and not in_set_d2_prime(p), p, "expected a member of D minus D'")
     largest, second, tail = p[0], p[1], tuple(p[2:])
     if second % 2 == 1:
         return _exact((second + 2, second + 1) + tail + (1,) * (largest - second - 3))
@@ -257,7 +255,6 @@ def b2_exchange_db_forward(p: Partition) -> Partition:
 
 
 def b2_exchange_db_inverse(q: Partition) -> Partition:
-    _require(in_set_b2(q) and not in_set_b2_prime(q), q, "expected a member of B minus B'")
     ones = q.multiplicity(1)
     body = tuple(q[: len(q) - ones])
     a = q[0]
@@ -270,9 +267,6 @@ def b2_exchange_db_inverse(q: Partition) -> Partition:
 
 
 def b2_exceptional_forward(p: Partition) -> Partition:
-    _require(
-        in_set_c2_prime(p) or in_set_d2_prime(p), p, "expected a member of C' union D'"
-    )
     n = p.weight
     if len(p) == 1:
         return _ones(n)
@@ -283,9 +277,6 @@ def b2_exceptional_forward(p: Partition) -> Partition:
 
 
 def b2_exceptional_inverse(q: Partition) -> Partition:
-    _require(
-        in_set_a2_prime(q) or in_set_b2_prime(q), q, "expected a member of A' union B'"
-    )
     n = q.weight
     if q[0] == 1:
         return _exact((n,))
@@ -317,7 +308,6 @@ def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
 
 
 def b2_total_forward(p: Partition) -> TaggedPreimage:
-    _require(is_member(p, PartitionClass.PED_GT1), p, "expected a PED_GT1 member")
     largest = p[0]
     if largest % 2 == 1:
         if len(p) > 1 and p[1] == largest:
@@ -336,111 +326,18 @@ def b2_total_forward(p: Partition) -> TaggedPreimage:
 
 def b2_total_inverse(tagged: TaggedPreimage) -> Partition:
     q = tagged.partition
-    _require(is_member(q, PartitionClass.D2), q, "expected a D2 member")
     if tagged.offset == 0:
         if q[-1] != 1:
             return q
         if in_set_a2_prime(q):
             return b2_exceptional_inverse(q)
         return b2_exchange_ca_inverse(q)
-    if tagged.offset == -3:
-        lifted = _shift_up(q)
-        if lifted[-1] != 1:
-            return lifted
-        if in_set_b2_prime(lifted):
-            return b2_exceptional_inverse(lifted)
-        return b2_exchange_db_inverse(lifted)
-    raise DomainError(f"unknown bucket offset {tagged.offset!r} (expected 0 or -3)")
-
-
-# ---------------------------------------------------------------------------
-# thm3.add / thm3.sub: D3(n-1) and D3(n+2) cover PED(n) between them.
-
-
-def b3_add_forward(p: Partition) -> Partition:
-    _require(is_member(p, PartitionClass.D3), p, "expected a D3 member")
-    return _exact((p[0] + 1,) + tuple(p[1:]))
-
-
-def b3_add_inverse(q: Partition) -> Partition:
-    _require(_b3_add_in_codomain(q), q, "expected PED, even largest part, gap of 2 below")
-    return _exact((q[0] - 1,) + tuple(q[1:]))
-
-
-def _b3_add_in_codomain(q: Partition) -> bool:
-    return (
-        bool(q)
-        and q[0] % 2 == 0
-        and (len(q) == 1 or q[1] <= q[0] - 2)
-        and is_member(q, PartitionClass.PED)
-    )
-
-
-def b3_sub_forward(p: Partition) -> Partition:
-    _require(
-        is_member(p, PartitionClass.D3) and p.weight >= 3,
-        p,
-        "expected a D3 member of weight at least 3",
-    )
-    return Partition((p[0] - 2,) + tuple(p[1:]))  # may need re-sorting
-
-
-def b3_sub_inverse(q: Partition) -> Partition:
-    _require(_b3_sub_in_codomain(q), q, "expected PED with odd largest part or shape (L, L-1, ...)")
-    if q[0] % 2 == 1:
-        return _exact((q[0] + 2,) + tuple(q[1:]))
-    # even largest, second exactly one below: raise that second part
-    return _exact((q[0] + 1, q[0]) + tuple(q[2:]))
-
-
-def _b3_sub_in_codomain(q: Partition) -> bool:
-    if not q or not is_member(q, PartitionClass.PED):
-        return False
-    return q[0] % 2 == 1 or (len(q) > 1 and q[1] == q[0] - 1)
-
-
-# ---------------------------------------------------------------------------
-# thm4.add: reconstruction of the O1(n-1) -> POD(n) analogue of thm1.add.
-
-
-def b4_forward(p: Partition) -> Partition:
-    _require(is_member(p, PartitionClass.O1), p, "expected an O1 member")
-    return _exact((p[0] + 1,) + tuple(p[1:]))
-
-
-def b4_inverse(q: Partition) -> Partition:
-    _require(_b4_in_codomain(q), q, "expected POD of weight >= 2 with odd largest part")
-    return _exact((q[0] - 1,) + tuple(q[1:]))
-
-
-def _b4_in_codomain(q: Partition) -> bool:
-    return bool(q) and q[0] % 2 == 1 and q.weight >= 2 and is_member(q, PartitionClass.POD)
-
-
-# ---------------------------------------------------------------------------
-# thm5.shift: O2(n-3) -> POD(n) of shape (L, L-1, ...), as for thm2.shift.
-
-
-def b5_shift_forward(p: Partition) -> Partition:
-    _require(is_member(p, PartitionClass.O2), p, "expected an O2 member")
-    return _shift_up(p)
-
-
-def b5_shift_inverse(q: Partition) -> Partition:
-    _require(
-        _b5_shift_in_codomain(q), q, "expected POD of shape (L, L-1, ...), L even, weight >= 5"
-    )
-    return _shift_down(q)
-
-
-def _b5_shift_in_codomain(q: Partition) -> bool:
-    return (
-        len(q) > 1
-        and q[0] % 2 == 0
-        and q[1] == q[0] - 1
-        and q.weight >= 5
-        and is_member(q, PartitionClass.POD)
-    )
+    lifted = _shift_up(q)
+    if lifted[-1] != 1:
+        return lifted
+    if in_set_b2_prime(lifted):
+        return b2_exceptional_inverse(lifted)
+    return b2_exchange_db_inverse(lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +402,6 @@ def _pad_with_twos(head: tuple[int, ...], total: int, append_one: bool) -> Parti
 
 
 def b5_exchange_forward(p: Partition) -> Partition:
-    _require(in_set_c5(p) or in_set_d5(p), p, "expected a member of C union D")
     n = p.weight
     largest = p[0]
     second = p[1] if len(p) > 1 else 0
@@ -528,7 +424,6 @@ def b5_exchange_forward(p: Partition) -> Partition:
 
 
 def b5_exchange_inverse(q: Partition) -> Partition:
-    _require(in_set_a5(q) or in_set_b5(q), q, "expected a member of A union B")
     total = q.weight
     if q[0] == 2:  # nothing but filler: the preimage was the singleton (n)
         return _exact((total,))
@@ -536,12 +431,11 @@ def b5_exchange_inverse(q: Partition) -> Partition:
     twos = q.multiplicity(2)
     body = tuple(q[: len(q) - ones - twos])
     a = q[0]
-    if q[1] == a:  # A side: even largest repeated
+    if q[1] == a:  # A side: even largest repeated, so a part 1 or a filler 2
         if ones:
             return _exact((a + 2 * twos + 1,) + body[1:])
         if twos == 1:
             return _exact((a + 2,) + body[1:])
-        _require(twos >= 2, q, "an A-side image needs a part 1 or at least one filler 2")
         return _exact((a + 2 * twos - 1, a + 1) + body[2:])
     # B side: shape (a, a-1, ...)
     if ones:
@@ -556,11 +450,6 @@ def b5_exchange_inverse(q: Partition) -> Partition:
 
 
 def b5_total_forward(p: Partition) -> TaggedPreimage:
-    _require(
-        is_member(p, PartitionClass.POD_GT2) and p.weight >= 5,
-        p,
-        "expected a POD_GT2 member of weight at least 5",
-    )
     largest = p[0]
     if largest % 2 == 0 and len(p) > 1:
         if p[1] == largest:
@@ -574,71 +463,8 @@ def b5_total_forward(p: Partition) -> TaggedPreimage:
 
 
 def b5_total_inverse(tagged: TaggedPreimage) -> Partition:
-    q = tagged.partition
-    _require(is_member(q, PartitionClass.O2), q, "expected an O2 member")
-    if tagged.offset == 0:
-        _require(q.weight >= 5, q, "the weight-n bucket starts at weight 5")
-        if q[-1] > 2:
-            return q
-        return b5_exchange_inverse(q)
-    if tagged.offset == -3:
-        lifted = _shift_up(q)
-        if lifted[-1] > 2:
-            return lifted
-        return b5_exchange_inverse(lifted)
-    raise DomainError(f"unknown bucket offset {tagged.offset!r} (expected 0 or -3)")
-
-
-# ---------------------------------------------------------------------------
-# thm6.add / thm6.sub: reconstructions of the O3 analogues of thm3.
-
-
-def b6_add_forward(p: Partition) -> Partition:
-    _require(is_member(p, PartitionClass.O3), p, "expected an O3 member")
-    return _exact((p[0] + 1,) + tuple(p[1:]))
-
-
-def b6_add_inverse(q: Partition) -> Partition:
-    _require(
-        _b6_add_in_codomain(q), q, "expected POD of weight >= 3, odd largest, gap of 2 below"
-    )
-    return _exact((q[0] - 1,) + tuple(q[1:]))
-
-
-def _b6_add_in_codomain(q: Partition) -> bool:
-    return (
-        bool(q)
-        and q[0] % 2 == 1
-        and q.weight >= 3
-        and (len(q) == 1 or q[1] <= q[0] - 2)
-        and is_member(q, PartitionClass.POD)
-    )
-
-
-def b6_sub_forward(p: Partition) -> Partition:
-    _require(
-        is_member(p, PartitionClass.O3) and p.weight >= 5,
-        p,
-        "expected an O3 member of weight at least 5",
-    )
-    return Partition((p[0] - 2,) + tuple(p[1:]))  # may need re-sorting
-
-
-def b6_sub_inverse(q: Partition) -> Partition:
-    _require(
-        _b6_sub_in_codomain(q),
-        q,
-        "expected POD of weight >= 3 with even largest part or shape (L, L-1, ...)",
-    )
-    if q[0] % 2 == 0:
-        return _exact((q[0] + 2,) + tuple(q[1:]))
-    return _exact((q[0] + 1, q[0]) + tuple(q[2:]))
-
-
-def _b6_sub_in_codomain(q: Partition) -> bool:
-    if not q or q.weight < 3 or not is_member(q, PartitionClass.POD):
-        return False
-    return q[0] % 2 == 0 or (len(q) > 1 and q[1] == q[0] - 1)
+    q = tagged.partition if tagged.offset == 0 else _shift_up(tagged.partition)
+    return q if q[-1] > 2 else b5_exchange_inverse(q)
 
 
 # ---------------------------------------------------------------------------
@@ -693,143 +519,136 @@ class TotalDecomposition:
         return self.id.value
 
 
-def _in_class(partition_class: PartitionClass) -> Callable[[Partition], bool]:
-    return lambda p: is_member(p, partition_class)
+def _guarded(check: Callable, recipe: Callable, what: str) -> Callable:
+    """recipe, refusing with a DomainError every argument that check rejects."""
+
+    def guarded(x):
+        if not check(x):
+            raise DomainError(f"{x} is outside the {what}")
+        return recipe(x)
+
+    return guarded
 
 
-REGISTRY: dict[BijectionId, Bijection | TotalDecomposition] = {
-    BijectionId.B1: Bijection(
-        BijectionId.B1,
-        1,
-        b1_forward,
-        b1_inverse,
-        _in_class(PartitionClass.D1),
-        _b1_in_codomain,
-        summary="raise one copy of the odd largest part by 1",
-    ),
-    BijectionId.B2_SHIFT: Bijection(
-        BijectionId.B2_SHIFT,
-        3,
-        b2_shift_forward,
-        b2_shift_inverse,
-        _in_class(PartitionClass.D2),
-        _b2_shift_in_codomain,
-        summary="add 2 and 1 to the two leading parts",
-    ),
-    BijectionId.B2_EXCHANGE_CA: Bijection(
-        BijectionId.B2_EXCHANGE_CA,
-        0,
-        b2_exchange_ca_forward,
-        b2_exchange_ca_inverse,
-        lambda p: in_set_c2(p) and not in_set_c2_prime(p),
-        lambda p: in_set_a2(p) and not in_set_a2_prime(p),
-        summary="trade the even largest part for a doubled second part plus 1s",
-    ),
-    BijectionId.B2_EXCHANGE_DB: Bijection(
-        BijectionId.B2_EXCHANGE_DB,
-        0,
-        b2_exchange_db_forward,
-        b2_exchange_db_inverse,
-        lambda p: in_set_d2(p) and not in_set_d2_prime(p),
-        lambda p: in_set_b2(p) and not in_set_b2_prime(p),
-        summary="push the odd largest part onto the second plus filler 1s",
-    ),
-    BijectionId.B2_EXCEPTIONAL: Bijection(
-        BijectionId.B2_EXCEPTIONAL,
-        0,
-        b2_exceptional_forward,
-        b2_exceptional_inverse,
-        lambda p: in_set_c2_prime(p) or in_set_d2_prime(p),
-        lambda p: in_set_a2_prime(p) or in_set_b2_prime(p),
-        summary="finite trade between the primed shapes",
-    ),
-    BijectionId.B2_TOTAL: TotalDecomposition(
-        BijectionId.B2_TOTAL,
-        PartitionClass.PED_GT1,
-        PartitionClass.D2,
-        (0, -3),
-        1,
-        b2_total_forward,
-        b2_total_inverse,
-        summary="split PED_GT1(n) across D2(n) and D2(n-3)",
-    ),
-    BijectionId.B3_ADD: Bijection(
-        BijectionId.B3_ADD,
-        1,
-        b3_add_forward,
-        b3_add_inverse,
-        _in_class(PartitionClass.D3),
-        _b3_add_in_codomain,
-        summary="raise the unique odd largest part by 1",
-    ),
-    BijectionId.B3_SUB: Bijection(
-        BijectionId.B3_SUB,
-        -2,
-        b3_sub_forward,
-        b3_sub_inverse,
-        lambda p: is_member(p, PartitionClass.D3) and p.weight >= 3,
-        _b3_sub_in_codomain,
-        summary="lower the unique odd largest part by 2 and re-sort",
-    ),
-    BijectionId.B4: Bijection(
-        BijectionId.B4,
-        1,
-        b4_forward,
-        b4_inverse,
-        _in_class(PartitionClass.O1),
-        _b4_in_codomain,
-        reconstructed=True,
-        summary="raise one copy of the even largest part by 1",
-    ),
-    BijectionId.B5_SHIFT: Bijection(
-        BijectionId.B5_SHIFT,
-        3,
-        b5_shift_forward,
-        b5_shift_inverse,
-        _in_class(PartitionClass.O2),
-        _b5_shift_in_codomain,
-        summary="add 2 and 1 to the two leading parts",
-    ),
-    BijectionId.B5_EXCHANGE: Bijection(
-        BijectionId.B5_EXCHANGE,
-        0,
-        b5_exchange_forward,
-        b5_exchange_inverse,
-        lambda p: in_set_c5(p) or in_set_d5(p),
-        lambda p: in_set_a5(p) or in_set_b5(p),
-        summary="trade the largest part for repeated parts plus filler 2s",
-    ),
-    BijectionId.B5_TOTAL: TotalDecomposition(
-        BijectionId.B5_TOTAL,
-        PartitionClass.POD_GT2,
-        PartitionClass.O2,
-        (0, -3),
-        5,
-        b5_total_forward,
-        b5_total_inverse,
-        summary="split POD_GT2(n) across O2(n) and O2(n-3)",
-    ),
-    BijectionId.B6_ADD: Bijection(
-        BijectionId.B6_ADD,
-        1,
-        b6_add_forward,
-        b6_add_inverse,
-        _in_class(PartitionClass.O3),
-        _b6_add_in_codomain,
-        reconstructed=True,
-        summary="raise the unique even largest part by 1",
-    ),
-    BijectionId.B6_SUB: Bijection(
-        BijectionId.B6_SUB,
-        -2,
-        b6_sub_forward,
-        b6_sub_inverse,
-        lambda p: is_member(p, PartitionClass.O3) and p.weight >= 5,
-        _b6_sub_in_codomain,
-        reconstructed=True,
-        summary="lower the unique even largest part by 2 and re-sort",
-    ),
-}
+def _plain(bid, shift, forward, inverse, in_domain, in_codomain, **flags) -> Bijection:
+    """A Bijection whose forward and inverse are its recipes behind its own predicates."""
+    name = bid.value
+    return Bijection(
+        bid,
+        shift,
+        _guarded(in_domain, forward, f"domain of {name}"),
+        _guarded(in_codomain, inverse, f"codomain of {name}"),
+        in_domain,
+        in_codomain,
+        **flags,
+    )
+
+
+def _total(bid, domain_class, bucket_class, min_weight, forward, inverse, summary) -> TotalDecomposition:
+    """A TotalDecomposition guarded by its classes and min_weight.
+
+    forward takes domain_class members of weight at least min_weight; inverse
+    takes a bucket_class member tagged with a known offset whose identity
+    weight, its own weight minus the offset, is at least min_weight.
+    """
+    offsets = (0, -3)
+
+    def in_domain(p: Partition) -> bool:
+        return is_member(p, domain_class) and p.weight >= min_weight
+
+    def in_buckets(t: TaggedPreimage) -> bool:
+        q = t.partition
+        return t.offset in offsets and is_member(q, bucket_class) and q.weight - t.offset >= min_weight
+
+    name = bid.value
+    return TotalDecomposition(
+        bid,
+        domain_class,
+        bucket_class,
+        offsets,
+        min_weight,
+        _guarded(in_domain, forward, f"domain of {name}"),
+        _guarded(in_buckets, inverse, f"buckets of {name}"),
+        summary=summary,
+    )
+
+
+def _from_weight(partition_class: PartitionClass, least: int) -> Callable[[Partition], bool]:
+    return lambda p: is_member(p, partition_class) and p.weight >= least
+
+
+def _family_codomain(family: PartitionClass, shape: Callable, gate: int) -> Callable[[Partition], bool]:
+    return lambda q: bool(q) and shape(q) and is_member(q, family) and q.weight >= gate
+
+
+def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bijection]:
+    """thm1.add, thm2.shift, thm3.add and thm3.sub for PED, or their mirrors for POD.
+
+    top is the parity of every domain member's largest part (odd for D1-D3,
+    even for O1-O3), domains the three domain classes, and gates the least
+    codomain weight of each map; a domain starts at its gate minus the shift.
+    """
+    d1, d2, d3 = domains
+    word = ("even", "odd")[top]
+    maps = (
+        (1, d1, lambda q: q[0] % 2 != top, _raise_top, _lower_top,
+         f"raise one copy of the {word} largest part by 1"),
+        (3, d2, lambda q: len(q) > 1 and q[0] % 2 == top and q[1] == q[0] - 1, _shift_up, _shift_down,
+         "add 2 and 1 to the two leading parts"),
+        (1, d3, lambda q: q[0] % 2 != top and (len(q) == 1 or q[1] <= q[0] - 2), _raise_top, _lower_top,
+         f"raise the unique {word} largest part by 1"),
+        (-2, d3, lambda q: q[0] % 2 == top or (len(q) > 1 and q[1] == q[0] - 1), _sub, _unsub(top),
+         f"lower the unique {word} largest part by 2 and re-sort"),
+    )
+    return [
+        _plain(bid, shift, forward, inverse, _from_weight(domain, gate - shift),
+               _family_codomain(family, shape, gate), reconstructed=flag, summary=summary)
+        for bid, gate, flag, (shift, domain, shape, forward, inverse, summary)
+        in zip(ids, gates, reconstructed, maps)
+    ]
+
+
+def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
+    B, C = BijectionId, PartitionClass
+    entries = [
+        *_mirror_family(C.PED, 1, (C.D1, C.D2, C.D3), (1, 1, 1, 1),
+                        (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
+        *_mirror_family(C.POD, 0, (C.O1, C.O2, C.O3), (2, 5, 3, 3),
+                        (B.B4, B.B5_SHIFT, B.B6_ADD, B.B6_SUB), (True, False, True, True)),
+        _plain(
+            B.B2_EXCHANGE_CA, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse,
+            lambda p: in_set_c2(p) and not in_set_c2_prime(p),
+            lambda q: in_set_a2(q) and not in_set_a2_prime(q),
+            summary="trade the even largest part for a doubled second part plus 1s",
+        ),
+        _plain(
+            B.B2_EXCHANGE_DB, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
+            lambda p: in_set_d2(p) and not in_set_d2_prime(p),
+            lambda q: in_set_b2(q) and not in_set_b2_prime(q),
+            summary="push the odd largest part onto the second plus filler 1s",
+        ),
+        _plain(
+            B.B2_EXCEPTIONAL, 0, b2_exceptional_forward, b2_exceptional_inverse,
+            lambda p: in_set_c2_prime(p) or in_set_d2_prime(p),
+            lambda q: in_set_a2_prime(q) or in_set_b2_prime(q),
+            summary="finite trade between the primed shapes",
+        ),
+        _plain(
+            B.B5_EXCHANGE, 0, b5_exchange_forward, b5_exchange_inverse,
+            lambda p: in_set_c5(p) or in_set_d5(p),
+            lambda q: in_set_a5(q) or in_set_b5(q),
+            summary="trade the largest part for repeated parts plus filler 2s",
+        ),
+        _total(B.B2_TOTAL, C.PED_GT1, C.D2, 1, b2_total_forward, b2_total_inverse,
+               "split PED_GT1(n) across D2(n) and D2(n-3)"),
+        _total(B.B5_TOTAL, C.POD_GT2, C.O2, 5, b5_total_forward, b5_total_inverse,
+               "split POD_GT2(n) across O2(n) and O2(n-3)"),
+    ]
+    by_id = {entry.id: entry for entry in entries}
+    return {bid: by_id[bid] for bid in BijectionId}
+
+
+REGISTRY: dict[BijectionId, Bijection | TotalDecomposition] = _registry()
 
 
 def get_bijection(key: "BijectionId | str") -> "Bijection | TotalDecomposition":

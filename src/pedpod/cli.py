@@ -10,10 +10,11 @@ Subcommands:
     crosscheck  compare the counting back-ends against each other
 
 Exit status: 0 on success, 1 when a verification or audit fails, 2 on
-usage errors (unknown selectors, malformed partitions, bad ranges).  Two
-fixed caps bound the output: `count --to` is at most 10000 on every
-back-end (the enum back-end stops earlier, at 50), and `list --n` is at
-most 60, where `list --class all` prints p(60) = 966467 lines.
+usage errors (unknown selectors, malformed partitions, bad ranges).  Fixed
+caps bound the work: `count --to`, `verify --to` and `crosscheck --to` are
+at most 10000 on every back-end (the enum back-end stops earlier, at 50),
+and `list --n` is at most 60, where `list --class all` prints
+p(60) = 966467 lines.
 Output is deterministic for fixed inputs.  The PEDPOD_WIDTH environment
 variable, when set to a positive integer, caps the line width of table
 output; csv and json output ignore it.
@@ -25,10 +26,11 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from .bijections import TaggedPreimage, TotalDecomposition, bijection_names, get_bijection
 from .core import PartitionClass, parse_partition
-from .counting import CountTable, count_table
+from .counting import count_table
 from .enumeration import class_members
 from .verification import (
     audit_bijection_range,
@@ -51,30 +53,22 @@ def _width_hint() -> "int | None":
     return width if width > 0 else None
 
 
-def _emit(text: str, fmt: str) -> None:
-    if fmt == "table":
+def _render(report, fmt: str) -> None:
+    """Print a report through its to_obj, to_csv or to_table, as fmt asks."""
+    if fmt == "json":
+        print(json.dumps(report.to_obj(), indent=2))
+    elif fmt == "csv":
+        print(report.to_csv())
+    else:
+        text = report.to_table()
         width = _width_hint()
         if width is not None:
             text = "\n".join(line[:width] for line in text.splitlines())
-    print(text)
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
+        print(text)
 
 
 def _class_from(args) -> PartitionClass:
     return PartitionClass.from_name(args.cls)
-
-
-def _count_text(table: CountTable) -> str:
-    n_width = max(len("n"), len(str(table.n_max)))
-    c_width = max(len("count"), max(len(str(c)) for c in table.counts))
-    lines = [f"{table.partition_class.value} counts, backend={table.backend}"]
-    lines.append(f"{'n'.rjust(n_width)}  {'count'.rjust(c_width)}")
-    for n, c in enumerate(table.counts):
-        lines.append(f"{str(n).rjust(n_width)}  {str(c).rjust(c_width)}")
-    return "\n".join(lines)
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -84,28 +78,30 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 
 def _cmd_count(args) -> int:
     _check_cap("count --to", args.to, COUNT_TO_CAP)
-    table = count_table(_class_from(args), args.to, args.backend)
-    if args.format == "json":
-        _emit(_json(table.to_obj()), "json")
-    elif args.format == "csv":
-        _emit(table.to_csv(), "csv")
-    else:
-        _emit(_count_text(table), "table")
+    _render(count_table(_class_from(args), args.to, args.backend), args.format)
     return 0
 
 
 def _cmd_list(args) -> int:
     _check_cap("list --n", args.n, LIST_N_CAP)
-    listing = class_members(args.n, _class_from(args))
-    if args.format == "json":
-        _emit(_json(listing.to_obj()), "json")
-    elif args.format == "csv":
-        lines = ["n,partition"]
-        lines += [f'{listing.n},"{p.to_text()}"' for p in listing.members]
-        _emit("\n".join(lines), "csv")
-    else:
-        _emit("\n".join(listing.to_lines()), "table")
+    _render(class_members(args.n, _class_from(args)), args.format)
     return 0
+
+
+class _Applied(NamedTuple):
+    """The result of `apply`, in the shape _render prints."""
+
+    payload: dict
+    text: str
+
+    def to_obj(self) -> dict:
+        return self.payload
+
+    def to_csv(self) -> str:
+        return f'output\n"{self.text}"'
+
+    def to_table(self) -> str:
+        return self.text
 
 
 def _cmd_apply(args) -> int:
@@ -123,52 +119,34 @@ def _cmd_apply(args) -> int:
     elif is_total:
         tagged = mapping.forward(p)
         payload = {"input": list(p), "output": list(tagged.partition), "tag": tagged.tag_text()}
-        text = f"{tagged.partition.to_text()} @ {tagged.tag_text()}"
+        text = str(tagged)
     else:
         result = mapping.inverse(p) if args.inverse else mapping.forward(p)
         payload = {"input": list(p), "output": list(result)}
         text = result.to_text()
     payload["bijection"] = mapping.name
     payload["direction"] = "inverse" if args.inverse else "forward"
-    if args.format == "json":
-        _emit(_json(payload), "json")
-    elif args.format == "csv":
-        _emit("output\n" + f'"{text}"', "csv")
-    else:
-        _emit(text, "table")
+    _render(_Applied(payload, text), args.format)
     return 0
 
 
 def _cmd_audit(args) -> int:
     report = audit_bijection_range(args.bijection, getattr(args, "from"), args.to)
-    if args.format == "json":
-        _emit(_json(report.to_obj()), "json")
-    elif args.format == "csv":
-        _emit(report.to_csv(), "csv")
-    else:
-        _emit(report.to_table(), "table")
+    _render(report, args.format)
     return 0 if report.overall_pass else 1
 
 
 def _cmd_verify(args) -> int:
+    _check_cap("verify --to", args.to, COUNT_TO_CAP)
     report = verify_identity(args.identity, getattr(args, "from"), args.to, args.backend)
-    if args.format == "json":
-        _emit(_json(report.to_obj()), "json")
-    elif args.format == "csv":
-        _emit(report.to_csv(), "csv")
-    else:
-        _emit(report.to_table(), "table")
+    _render(report, args.format)
     return 0 if report.overall_pass else 1
 
 
 def _cmd_crosscheck(args) -> int:
+    _check_cap("crosscheck --to", args.to, COUNT_TO_CAP)
     report = cross_check_counts(args.to)
-    if args.format == "json":
-        _emit(_json(report.to_obj()), "json")
-    elif args.format == "csv":
-        _emit(report.to_csv(), "csv")
-    else:
-        _emit(report.to_table(), "table")
+    _render(report, args.format)
     return 0 if report.overall_pass else 1
 
 

@@ -22,7 +22,6 @@ and does not mention a largest part: all, four_regular, ped, pod.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -81,17 +80,8 @@ class Partition(tuple):
         return self.to_text()
 
 
-def make_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a bag of positive integers into a Partition."""
-    return Partition(parts)
-
-
 def parse_partition(text: str) -> Partition:
     return Partition.from_text(text)
-
-
-def format_partition(p: Partition) -> str:
-    return p.to_text()
 
 
 class PartitionClass(Enum):
@@ -159,32 +149,3 @@ _PREDICATES = {
 def is_member(p: Partition, partition_class: PartitionClass) -> bool:
     """Decide membership of `p` in one of the twelve classes."""
     return _PREDICATES[partition_class](p)
-
-
-@dataclass(frozen=True)
-class ShapeDescriptor:
-    """Largest part, its multiplicity, the next distinct value, and the rest.
-
-    Recomposing the fields reproduces the partition exactly:
-    (largest,) * largest_multiplicity + (second,) + tail.
-    """
-
-    largest: int
-    largest_multiplicity: int
-    second: int | None
-    tail: Partition
-
-    def recompose(self) -> Partition:
-        head = (self.largest,) * self.largest_multiplicity
-        mid = () if self.second is None else (self.second,)
-        return Partition._unsafe(head + mid + tuple(self.tail))
-
-
-def shape(p: Partition) -> ShapeDescriptor:
-    """Describe a nonempty partition; raises ValueError on the empty one."""
-    if not p:
-        raise ValueError("the empty partition has no shape descriptor")
-    mult = p.count(p[0])
-    if mult < len(p):
-        return ShapeDescriptor(p[0], mult, p[mult], Partition._unsafe(tuple(p[mult + 1:])))
-    return ShapeDescriptor(p[0], mult, None, Partition._unsafe(()))

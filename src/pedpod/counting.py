@@ -22,18 +22,10 @@ largest n requested.  Back-ends never read each other's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .core import Partition, PartitionClass
+from .core import PartitionClass
 
 ENUM_CAP = 50
-
-
-class Restriction(Enum):
-    """Which parity of parts may appear at most once each."""
-
-    DISTINCT_EVEN = "distinct_even"
-    DISTINCT_ODD = "distinct_odd"
 
 
 def _apply_part(row: list[int], part: int, restricted_parity: int) -> None:
@@ -45,21 +37,6 @@ def _apply_part(row: list[int], part: int, restricted_parity: int) -> None:
     else:
         for w in range(part, top + 1):  # any number of copies
             row[w] += row[w - part]
-
-
-def restricted_count(n: int, max_part: int, min_part: int, restriction: Restriction) -> int:
-    """Count partitions of n with parts in [min_part, max_part] under the restriction."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if min_part < 1:
-        raise ValueError("min_part must be at least 1")
-    if n == 0:
-        return 1
-    parity = 0 if restriction is Restriction.DISTINCT_EVEN else 1
-    row = [1] + [0] * n
-    for part in range(min_part, min(max_part, n) + 1):
-        _apply_part(row, part, parity)
-    return row[n]
 
 
 _KERNEL_SETUP = {
@@ -272,6 +249,8 @@ _SERIES_FACTORS = {
     # no part divisible by 4: k = 1, 2, 3 mod 4 free.
     PartitionClass.FOUR_REGULAR: ((1, 4, -1, True), (2, 4, -1, True), (3, 4, -1, True)),
 }
+# The classes with a product form, which the series back-end can count.
+SERIES_CLASSES = tuple(_SERIES_FACTORS)
 
 
 def series_spec_for(partition_class: PartitionClass, n_max: int) -> SeriesProductSpec:
@@ -297,6 +276,15 @@ class CountTable:
     def to_csv(self) -> str:
         lines = ["n,count"]
         lines.extend(f"{n},{c}" for n, c in enumerate(self.counts))
+        return "\n".join(lines)
+
+    def to_table(self) -> str:
+        n_width = max(len("n"), len(str(self.n_max)))
+        c_width = max(len("count"), max(len(str(c)) for c in self.counts))
+        lines = [f"{self.partition_class.value} counts, backend={self.backend}"]
+        lines.append(f"{'n'.rjust(n_width)}  {'count'.rjust(c_width)}")
+        for n, c in enumerate(self.counts):
+            lines.append(f"{str(n).rjust(n_width)}  {str(c).rjust(c_width)}")
         return "\n".join(lines)
 
     def to_obj(self) -> dict:
@@ -364,7 +352,3 @@ def class_count(partition_class: PartitionClass, n: int, backend: str = "dp") ->
         raise ValueError("n must be non-negative")
     return _stored_counts(partition_class, n, normalize_backend(backend))[n]
 
-
-def four_regular_count(n: int) -> int:
-    """Partitions of n with no part divisible by 4."""
-    return class_count(PartitionClass.FOUR_REGULAR, n)

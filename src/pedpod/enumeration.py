@@ -64,6 +64,12 @@ class ClassListing:
     def to_lines(self) -> list[str]:
         return [p.to_text() for p in self.members]
 
+    def to_csv(self) -> str:
+        return "\n".join(["n,partition"] + [f'{self.n},"{p.to_text()}"' for p in self.members])
+
+    def to_table(self) -> str:
+        return "\n".join(self.to_lines())
+
     def to_obj(self) -> dict:
         return {
             "n": self.n,

@@ -36,7 +36,7 @@ from .bijections import (
     get_bijection,
 )
 from .core import Partition, PartitionClass, is_member
-from .counting import ENUM_CAP, count_table, normalize_backend
+from .counting import ENUM_CAP, SERIES_CLASSES, count_table, normalize_backend
 from .enumeration import all_partitions
 
 _AUDIT_WEIGHT_CAP = 40
@@ -521,14 +521,6 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-_SERIES_CLASSES = (
-    PartitionClass.PED,
-    PartitionClass.PED_GT1,
-    PartitionClass.POD,
-    PartitionClass.POD_GT2,
-    PartitionClass.FOUR_REGULAR,
-)
-
 _ENUM_CHECK_CAP = 35
 
 
@@ -545,7 +537,7 @@ def cross_check_counts(n_max: int) -> CrossCheckReport:
             f"n={n}: enum={a[n]} dp={b[n]}" for n in range(enum_top + 1) if a[n] != b[n]
         )[:20]
         records.append(CrossCheckRecord(f"enum_vs_dp:{cls.value}", enum_top, not bad, bad))
-    for cls in _SERIES_CLASSES:
+    for cls in SERIES_CLASSES:
         a = count_table(cls, n_max, "dp").counts
         b = count_table(cls, n_max, "series").counts
         bad = tuple(

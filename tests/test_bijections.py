@@ -13,29 +13,14 @@ from pedpod.bijections import (
     TotalDecomposition,
     _exact,
     _pad_with_twos,
-    b1_forward,
-    b1_inverse,
     b2_exceptional_forward,
     b2_exceptional_inverse,
     b2_exchange_ca_forward,
     b2_exchange_ca_inverse,
     b2_exchange_db_forward,
     b2_exchange_db_inverse,
-    b2_shift_forward,
-    b2_shift_inverse,
-    b2_total_forward,
-    b2_total_inverse,
-    b3_add_forward,
-    b3_sub_forward,
-    b4_forward,
-    b4_inverse,
     b5_exchange_forward,
     b5_exchange_inverse,
-    b5_shift_forward,
-    b5_total_forward,
-    b5_total_inverse,
-    b6_add_forward,
-    b6_sub_forward,
     bijection_names,
     get_bijection,
     thm2_sets,
@@ -43,6 +28,26 @@ from pedpod.bijections import (
 )
 from pedpod.core import Partition, PartitionClass, is_member
 from pedpod.enumeration import all_partitions, class_members
+from pedpod.verification import audit_bijection_range
+
+
+# The mirrored maps exist only as registry entries, and the module-level
+# total recipes are unguarded, so these names reach the guarded entries.
+def _directions(name):
+    mapping = get_bijection(name)
+    return mapping.forward, mapping.inverse
+
+
+b1_forward, b1_inverse = _directions("thm1.add")
+b2_shift_forward, b2_shift_inverse = _directions("thm2.shift")
+b2_total_forward, b2_total_inverse = _directions("thm2.total")
+b3_add_forward, _ = _directions("thm3.add")
+b3_sub_forward, _ = _directions("thm3.sub")
+b4_forward, b4_inverse = _directions("thm4.add")
+b5_shift_forward, _ = _directions("thm5.shift")
+b5_total_forward, b5_total_inverse = _directions("thm5.total")
+b6_add_forward, _ = _directions("thm6.add")
+b6_sub_forward, _ = _directions("thm6.sub")
 
 
 def P(*parts):
@@ -244,6 +249,60 @@ def test_total_decompositions_fill_buckets_exactly():
                     expected = set()
                 assert buckets[off] == expected, (bid, n, off)
 
+
+
+def _refused(direction, x):
+    try:
+        direction(x)
+    except DomainError:
+        return True
+    return False
+
+
+def test_guards_match_the_registry_predicates():
+    for mapping in _plain_bijections():
+        for n in range(0, 19):
+            for p in all_partitions(n):
+                assert _refused(mapping.forward, p) == (not mapping.in_domain(p)), (mapping.name, p)
+                assert _refused(mapping.inverse, p) == (not mapping.in_codomain(p)), (mapping.name, p)
+    for bid in (BijectionId.B2_TOTAL, BijectionId.B5_TOTAL):
+        t = REGISTRY[bid]
+        for n in range(0, 19):
+            for p in all_partitions(n):
+                inside = is_member(p, t.domain_class) and n >= t.min_weight
+                assert _refused(t.forward, p) == (not inside), (bid, p)
+                for off in (*t.offsets, -1):
+                    bucketed = off in t.offsets and is_member(p, t.bucket_class) and n - off >= t.min_weight
+                    assert _refused(t.inverse, TaggedPreimage(off, p)) == (not bucketed), (bid, p, off)
+
+
+# Summed (domain_size, codomain_size) of each map's audit over n = 0..24.  A
+# weight gate moved in either direction changes the sums of its map.
+AUDIT_SIZES_TO_24 = {
+    "thm1.add": (1662, 1662),
+    "thm2.exceptional": (89, 89),
+    "thm2.exchange.CA": (304, 304),
+    "thm2.exchange.DB": (199, 199),
+    "thm2.shift": (257, 257),
+    "thm2.total": (721, 721),
+    "thm3.add": (1280, 1280),
+    "thm3.sub": (2440, 2440),
+    "thm4.add": (836, 836),
+    "thm5.exchange": (287, 287),
+    "thm5.shift": (126, 126),
+    "thm5.total": (347, 347),
+    "thm6.add": (654, 654),
+    "thm6.sub": (1209, 1209),
+}
+
+
+def test_audit_sizes_are_pinned():
+    assert sorted(AUDIT_SIZES_TO_24) == bijection_names()
+    for name, sizes in AUDIT_SIZES_TO_24.items():
+        report = audit_bijection_range(name, 0, 24)
+        assert report.overall_pass, name
+        summed = tuple(sum(getattr(r, f) for r in report.records) for f in ("domain_size", "codomain_size"))
+        assert summed == sizes, name
 
 def test_thm2_sets_partition_the_letter_families():
     for n in range(0, 21):

@@ -209,6 +209,19 @@ def test_count_to_is_capped_on_every_backend(capsys):
     assert err == "error: enum backend is capped at n_max <= 50; use dp\n"
 
 
+
+def test_verify_and_crosscheck_to_are_capped(capsys):
+    over = str(cli.COUNT_TO_CAP + 1)
+    for argv, flag in (
+        (["verify", "--identity", "T2", "--to", over], "verify --to"),
+        (["verify", "--identity", "T4", "--to", over, "--backend", "series"], "verify --to"),
+        (["crosscheck", "--to", over], "crosscheck --to"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: {flag} is capped at {cli.COUNT_TO_CAP}, got {over}\n"
+
 def test_verify_enum_cap_counts_the_identity_offset(capsys):
     code, out, err = run(["verify", "--identity", "T3", "--to", "49", "--backend", "enum"], capsys)
     assert code == 2

@@ -7,11 +7,8 @@ import pytest
 from pedpod.core import (
     Partition,
     PartitionClass,
-    ShapeDescriptor,
     is_member,
-    make_partition,
     parse_partition,
-    shape,
 )
 from pedpod.enumeration import all_partitions
 
@@ -84,7 +81,6 @@ def test_empty_partition_memberships():
 def test_partition_canonicalizes_order():
     assert Partition((2, 5, 3)) == Partition((5, 3, 2))
     assert tuple(Partition((1, 4, 1))) == (4, 1, 1)
-    assert make_partition([3, 3, 2]) == Partition((3, 3, 2))
 
 
 def test_partition_rejects_bad_parts():
@@ -137,23 +133,3 @@ def test_class_names_resolve():
     with pytest.raises(ValueError):
         PartitionClass.from_name("unknown")
 
-
-def test_shape_descriptor():
-    d = shape(Partition((5, 5, 4, 3)))
-    assert (d.largest, d.largest_multiplicity, d.second) == (5, 2, 4)
-    assert tuple(d.tail) == (3,)
-    assert d.recompose() == Partition((5, 5, 4, 3))
-    single = shape(Partition((7,)))
-    assert (single.largest, single.largest_multiplicity, single.second) == (7, 1, None)
-    assert tuple(single.tail) == ()
-    constant = shape(Partition((2, 2, 2)))
-    assert (constant.largest, constant.largest_multiplicity, constant.second) == (2, 3, None)
-    assert isinstance(d, ShapeDescriptor)
-    with pytest.raises(ValueError):
-        shape(Partition(()))
-
-
-def test_shape_recompose_round_trip():
-    for n in range(1, 16):
-        for p in all_partitions(n):
-            assert shape(p).recompose() == p

@@ -13,12 +13,9 @@ from pedpod.counting import (
     ENUM_CAP,
     CountTable,
     ProductFactor,
-    Restriction,
     SeriesProductSpec,
     class_count,
     count_table,
-    four_regular_count,
-    restricted_count,
     series_coefficients,
     series_spec_for,
 )
@@ -33,52 +30,14 @@ SERIES_CLASSES = (
 )
 
 
-def _brute_restricted(n, max_part, min_part, restriction):
-    parity = 0 if restriction is Restriction.DISTINCT_EVEN else 1
-    count = 0
-    for p in all_partitions(n):
-        if p and (p[0] > max_part or p[-1] < min_part):
-            continue
-        restricted = [x for x in p if x % 2 == parity]
-        if len(set(restricted)) == len(restricted):
-            count += 1
-    return count
-
-
-def test_restricted_count_known_values():
-    assert restricted_count(5, 5, 1, Restriction.DISTINCT_EVEN) == 6
-    assert restricted_count(0, 10, 1, Restriction.DISTINCT_ODD) == 1
-    assert restricted_count(5, 5, 2, Restriction.DISTINCT_EVEN) == 2
-
-
-def test_restricted_count_against_brute_force():
-    for n in range(0, 15):
-        for max_part in (1, 2, 3, n + 1):
-            for min_part in (1, 2, 3):
-                for r in Restriction:
-                    assert restricted_count(n, max_part, min_part, r) == _brute_restricted(
-                        n, max_part, min_part, r
-                    ), (n, max_part, min_part, r)
-
-
-def test_restricted_count_argument_errors():
-    with pytest.raises(ValueError):
-        restricted_count(-1, 5, 1, Restriction.DISTINCT_EVEN)
-    with pytest.raises(ValueError):
-        restricted_count(5, 5, 0, Restriction.DISTINCT_EVEN)
-
-
 def test_class_count_known_values():
     assert class_count(PartitionClass.D1, 5) == 4
     assert class_count(PartitionClass.D3, 2) == 0
     assert class_count(PartitionClass.POD, 4) == 3
     assert class_count(PartitionClass.O1, 4) == 2
-
-
-def test_four_regular_known_values():
-    assert four_regular_count(4) == 4
-    assert four_regular_count(0) == 1
-    assert four_regular_count(5) == 6
+    assert class_count(PartitionClass.FOUR_REGULAR, 4) == 4
+    assert class_count(PartitionClass.FOUR_REGULAR, 0) == 1
+    assert class_count(PartitionClass.FOUR_REGULAR, 5) == 6
 
 
 def test_small_tables():
@@ -100,6 +59,13 @@ def test_backends_agree_on_all_classes():
 def test_series_backend_agrees_where_defined():
     for cls in SERIES_CLASSES:
         assert count_table(cls, 60, "series").counts == count_table(cls, 60, "dp").counts
+
+
+def test_series_classes_are_the_product_form_classes():
+    assert counting.SERIES_CLASSES == SERIES_CLASSES
+    for cls in set(PartitionClass) - set(SERIES_CLASSES):
+        with pytest.raises(ValueError):
+            series_spec_for(cls, 10)
 
 
 def test_series_backend_rejects_non_product_classes():
