@@ -35,6 +35,9 @@ def test_class_count_known_values():
     assert class_count(PartitionClass.D3, 2) == 0
     assert class_count(PartitionClass.POD, 4) == 3
     assert class_count(PartitionClass.O1, 4) == 2
+
+
+def test_four_regular_known_values():
     assert class_count(PartitionClass.FOUR_REGULAR, 4) == 4
     assert class_count(PartitionClass.FOUR_REGULAR, 0) == 1
     assert class_count(PartitionClass.FOUR_REGULAR, 5) == 6
