@@ -12,15 +12,7 @@ The package is organized bottom-up:
 
 from .core import Partition, PartitionClass, is_member, parse_partition
 from .enumeration import ClassListing, all_partitions, class_members, partitions_of
-from .counting import (
-    CountTable,
-    ProductFactor,
-    SeriesProductSpec,
-    class_count,
-    count_table,
-    series_coefficients,
-    series_spec_for,
-)
+from .counting import CountTable, class_count, count_table
 from .bijections import (
     Bijection,
     BijectionId,
@@ -61,12 +53,8 @@ __all__ = [
     "class_members",
     "partitions_of",
     "CountTable",
-    "ProductFactor",
-    "SeriesProductSpec",
     "class_count",
     "count_table",
-    "series_coefficients",
-    "series_spec_for",
     "Bijection",
     "BijectionId",
     "DomainError",

@@ -54,6 +54,7 @@ from enum import Enum
 from typing import Callable
 
 from .core import Partition, PartitionClass, is_member
+from .enumeration import class_members
 
 
 class DomainError(ValueError):
@@ -287,9 +288,7 @@ def b2_exceptional_inverse(q: Partition) -> Partition:
 
 
 def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
-    """Materialize the eight thm2 letter sets at weight n."""
-    from .enumeration import all_partitions
-
+    """Materialize the eight thm2 letter sets at weight n, each a subset of PED(n)."""
     tests = {
         "C": in_set_c2,
         "D": in_set_d2,
@@ -300,7 +299,7 @@ def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
         "A'": in_set_a2_prime,
         "B'": in_set_b2_prime,
     }
-    pool = all_partitions(n)
+    pool = class_members(n, PartitionClass.PED).members
     return {name: tuple(p for p in pool if test(p)) for name, test in tests.items()}
 
 
@@ -377,11 +376,9 @@ def in_set_b5(p: Partition) -> bool:
 
 
 def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:
-    """Materialize the four thm5 letter sets at weight n."""
-    from .enumeration import all_partitions
-
+    """Materialize the four thm5 letter sets at weight n, each a subset of POD(n)."""
     tests = {"C": in_set_c5, "D": in_set_d5, "A": in_set_a5, "B": in_set_b5}
-    pool = all_partitions(n)
+    pool = class_members(n, PartitionClass.POD).members
     return {name: tuple(p for p in pool if test(p)) for name, test in tests.items()}
 
 

@@ -8,7 +8,8 @@ Three interchangeable back-ends produce the same tables:
 
 The DP kernel counts partitions with parts confined to [min_part, max_part]
 where one parity is forced distinct (even parts for the ped family, odd
-parts for the pod family).  Classes with an odd/even largest part are summed
+parts for the pod family) or none is (all, and four_regular, which also
+skips multiples of 4).  Classes with an odd/even largest part are summed
 over that largest part on top of the kernel.  All arithmetic is plain
 Python int, so counts never overflow.
 
@@ -28,7 +29,7 @@ from .core import PartitionClass
 ENUM_CAP = 50
 
 
-def _apply_part(row: list[int], part: int, restricted_parity: int) -> None:
+def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> None:
     """Extend a weight-indexed count row by allowing one more part size."""
     top = len(row) - 1
     if part % 2 == restricted_parity:
@@ -39,11 +40,15 @@ def _apply_part(row: list[int], part: int, restricted_parity: int) -> None:
             row[w] += row[w - part]
 
 
+# Classes counted by the kernel alone: (restricted parity, or None for no
+# distinct parity; smallest part; whether multiples of 4 are skipped).
 _KERNEL_SETUP = {
-    PartitionClass.PED: (0, 1),
-    PartitionClass.PED_GT1: (0, 2),
-    PartitionClass.POD: (1, 1),
-    PartitionClass.POD_GT2: (1, 3),
+    PartitionClass.ALL: (None, 1, False),
+    PartitionClass.FOUR_REGULAR: (None, 1, True),
+    PartitionClass.PED: (0, 1, False),
+    PartitionClass.PED_GT1: (0, 2, False),
+    PartitionClass.POD: (1, 1, False),
+    PartitionClass.POD_GT2: (1, 3, False),
 }
 
 # Classes counted by summing over the largest part: (restricted parity,
@@ -60,24 +65,12 @@ _SWEEP_SETUP = {
 
 def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
     top = n_max
-    if partition_class is PartitionClass.ALL:
-        row = [1] + [0] * top
-        for part in range(1, top + 1):
-            for w in range(part, top + 1):
-                row[w] += row[w - part]
-        return tuple(row)
-    if partition_class is PartitionClass.FOUR_REGULAR:
-        row = [1] + [0] * top
-        for part in range(1, top + 1):
-            if part % 4:
-                for w in range(part, top + 1):
-                    row[w] += row[w - part]
-        return tuple(row)
     if partition_class in _KERNEL_SETUP:
-        parity, min_part = _KERNEL_SETUP[partition_class]
+        parity, min_part, skip_fours = _KERNEL_SETUP[partition_class]
         row = [1] + [0] * top
         for part in range(min_part, top + 1):
-            _apply_part(row, part, parity)
+            if not (skip_fours and part % 4 == 0):
+                _apply_part(row, part, parity)
         if min_part > 1:
             row[0] = 0  # the empty partition is not a member of the >1/>2 classes
         return tuple(row)
@@ -189,54 +182,9 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
     return {cls: tuple(row) for cls, row in tables.items()}
 
 
-@dataclass(frozen=True)
-class ProductFactor:
-    """One family (1 + sign*q^k)^(exponent) for k = first, first+step, ...
-
-    exponent is +1 when inverse is False (multiply) and -1 when inverse is
-    True (divide).  Every term has constant coefficient 1, so truncated
-    division is always well defined.
-    """
-
-    first: int
-    step: int
-    sign: int
-    inverse: bool
-
-    def __post_init__(self) -> None:
-        if self.first < 1 or self.step < 1:
-            raise ValueError("factor progression must have positive first term and step")
-        if self.sign not in (1, -1):
-            raise ValueError("factor sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class SeriesProductSpec:
-    """A truncated infinite product; factors with k > n_max are skipped."""
-
-    factors: tuple[ProductFactor, ...]
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
-
-
-def series_coefficients(spec: SeriesProductSpec) -> list[int]:
-    """Coefficients [q^0 .. q^n_max] of the product, as exact integers."""
-    top = spec.n_max
-    coeffs = [1] + [0] * top
-    for factor in spec.factors:
-        for k in range(factor.first, top + 1, factor.step):
-            if factor.inverse:
-                for w in range(k, top + 1):
-                    coeffs[w] -= factor.sign * coeffs[w - k]
-            else:
-                for w in range(top, k - 1, -1):
-                    coeffs[w] += factor.sign * coeffs[w - k]
-    return coeffs
-
-
+# Each factor family (first, step, sign, inverse) is (1 + sign*q^k)^(-1 if
+# inverse else +1) for k = first, first+step, ...; every term has constant
+# coefficient 1, so truncated division is always well defined.
 _SERIES_FACTORS = {
     # ped: evens distinct, odds free.
     PartitionClass.PED: ((2, 2, 1, False), (1, 2, -1, True)),
@@ -251,17 +199,6 @@ _SERIES_FACTORS = {
 }
 # The classes with a product form, which the series back-end can count.
 SERIES_CLASSES = tuple(_SERIES_FACTORS)
-
-
-def series_spec_for(partition_class: PartitionClass, n_max: int) -> SeriesProductSpec:
-    """The standard product form for a class, or ValueError if it has none."""
-    try:
-        raw = _SERIES_FACTORS[partition_class]
-    except KeyError:
-        raise ValueError(
-            f"class {partition_class.value!r} has no product form; use the dp backend"
-        ) from None
-    return SeriesProductSpec(tuple(ProductFactor(*f) for f in raw), n_max)
 
 
 @dataclass(frozen=True)
@@ -305,10 +242,23 @@ def normalize_backend(backend: str) -> str:
 
 
 def _series_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
-    raw = series_coefficients(series_spec_for(partition_class, n_max))
+    """Coefficients q^0..q^n_max of the class's product; factors with k > n_max are skipped."""
+    try:
+        factors = _SERIES_FACTORS[partition_class]
+    except KeyError:
+        raise ValueError(f"class {partition_class.value!r} has no product form; use the dp backend") from None
+    coeffs = [1] + [0] * n_max
+    for first, step, sign, inverse in factors:
+        for k in range(first, n_max + 1, step):
+            if inverse:
+                for w in range(k, n_max + 1):
+                    coeffs[w] -= sign * coeffs[w - k]
+            else:
+                for w in range(n_max, k - 1, -1):
+                    coeffs[w] += sign * coeffs[w - k]
     if partition_class in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
-        raw[0] = 0  # empty-partition convention, matching the other back-ends
-    return tuple(raw)
+        coeffs[0] = 0  # empty-partition convention, matching the other back-ends
+    return tuple(coeffs)
 
 
 # The longest table built so far for each (back-end tag, class).

@@ -17,10 +17,11 @@ side counts the partition (3) and the left side counts nothing.)
 Audits enumerate a map's declared domain and codomain outright and check
 totality, the declared weight shift, landing inside the codomain,
 injectivity, surjectivity, and both round trips.  The audit weight n is
-the identity's n: the codomain sits at weight n and the domain at
-n - weight_shift.  Tagged decompositions are audited by comparing each
-bucket against the full member listing of its class, which is exactly the
-counting argument the identities rest on.
+the identity's n.  One engine audits both kinds of map.  A plain map
+filters the partitions of n - weight_shift (domain) and of n (codomain) by
+its own predicates.  A tagged decomposition lists its domain and each
+bucket, tagged with its offset, by class_members: exactly the counting
+argument the identities rest on.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .bijections import (
     TotalDecomposition,
     get_bijection,
 )
-from .core import Partition, PartitionClass, is_member
+from .core import Partition, PartitionClass
 from .counting import ENUM_CAP, SERIES_CLASSES, count_table, normalize_backend
-from .enumeration import all_partitions
+from .enumeration import all_partitions, class_members
 
 _AUDIT_WEIGHT_CAP = 40
 _FAILURE_CAP = 100
@@ -330,105 +331,58 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _audit_plain(b: Bijection, n: int) -> AuditRecord:
+def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord:
+    """Audit a map at identity weight n, calling each direction once per member.
+
+    forward must be total and injective into the codomain at the right weight,
+    and inverse must return each codomain member's recorded preimage; together
+    these prove both round trips.
+    """
+    tagged = isinstance(mapping, TotalDecomposition)
+    if not tagged:
+        domain = [p for p in all_partitions(n - mapping.weight_shift) if mapping.in_domain(p)]
+        codomain = [q for q in all_partitions(n) if mapping.in_codomain(q)]
+    elif n < mapping.min_weight:
+        domain = codomain = ()  # below the gate the decomposition is undefined
+    else:
+        domain = class_members(n, mapping.domain_class).members
+        codomain = [
+            TaggedPreimage(off, q)
+            for off in mapping.offsets
+            if n + off >= 0
+            for q in class_members(n + off, mapping.bucket_class).members
+        ]
+    members = set(codomain)
     failures: list[str] = []
-    domain = [p for p in all_partitions(n - b.weight_shift) if b.in_domain(p)]
-    codomain = [q for q in all_partitions(n) if b.in_codomain(q)]
-    image: dict[Partition, Partition] = {}
+    preimage: dict[Partition | TaggedPreimage, Partition] = {}
     for p in domain:
         try:
-            q = b.forward(p)
+            q = mapping.forward(p)
         except DomainError as exc:
             failures.append(f"forward undefined on {p}: {exc}")
             continue
-        if q.weight != p.weight + b.weight_shift:
-            failures.append(f"{p} -> {q} shifts weight by {q.weight - p.weight}, not {b.weight_shift}")
-        if not b.in_codomain(q):
+        if tagged and q.partition.weight != n + q.offset:
+            failures.append(f"{p} -> {q} has weight {q.partition.weight}, bucket expects {n + q.offset}")
+        elif not tagged and q.weight != n:
+            failures.append(f"{p} -> {q} shifts weight by {q.weight - p.weight}, not {mapping.weight_shift}")
+        if q not in members:
             failures.append(f"{p} -> {q} lands outside the codomain")
-        if q in image:
-            failures.append(f"{image[q]} and {p} collide on {q}")
+        if q in preimage:
+            failures.append(f"{preimage[q]} and {p} collide on {q}")
         else:
-            image[q] = p
-        try:
-            back = b.inverse(q)
-        except DomainError as exc:
-            failures.append(f"inverse undefined on {q}: {exc}")
-            continue
-        if back != p:
-            failures.append(f"round trip failed: {p} -> {q} -> {back}")
+            preimage[q] = p
     for q in codomain:
-        if q not in image:
+        if q not in preimage:
             failures.append(f"{q} is in the codomain but has no preimage")
             continue
         try:
-            p = b.inverse(q)
+            back = mapping.inverse(q)
         except DomainError as exc:
-            failures.append(f"inverse undefined on codomain member {q}: {exc}")
+            failures.append(f"inverse undefined on {q}: {exc}")
             continue
-        if not b.in_domain(p):
-            failures.append(f"inverse sends {q} to {p}, outside the domain")
+        if back != preimage[q]:
+            failures.append(f"round trip failed: {preimage[q]} -> {q} -> {back}")
     return AuditRecord(n, len(domain), len(codomain), not failures, tuple(failures))
-
-
-def _audit_total(t: TotalDecomposition, n: int) -> AuditRecord:
-    if n < t.min_weight:
-        # Below the gate the decomposition is undefined; nothing to check.
-        return AuditRecord(n, 0, 0, True, ())
-    failures: list[str] = []
-    domain = [p for p in all_partitions(n) if is_member(p, t.domain_class)]
-    expected = {
-        off: set(p for p in all_partitions(n + off) if is_member(p, t.bucket_class))
-        for off in t.offsets
-    }
-    buckets: dict[int, dict[Partition, Partition]] = {off: {} for off in t.offsets}
-    for p in domain:
-        try:
-            tagged = t.forward(p)
-        except DomainError as exc:
-            failures.append(f"forward undefined on {p}: {exc}")
-            continue
-        if tagged.offset not in buckets:
-            failures.append(f"{p} got unknown bucket offset {tagged.offset}")
-            continue
-        q = tagged.partition
-        if q.weight != n + tagged.offset:
-            failures.append(f"{p} -> {q} has weight {q.weight}, bucket expects {n + tagged.offset}")
-        if not is_member(q, t.bucket_class):
-            failures.append(f"{p} -> {q} is not a {t.bucket_class.value} member")
-        if q in buckets[tagged.offset]:
-            failures.append(f"{buckets[tagged.offset][q]} and {p} collide on {q} in bucket {tagged.tag_text()}")
-        else:
-            buckets[tagged.offset][q] = p
-        try:
-            back = t.inverse(tagged)
-        except DomainError as exc:
-            failures.append(f"inverse undefined on {q} @ {tagged.tag_text()}: {exc}")
-            continue
-        if back != p:
-            failures.append(f"round trip failed: {p} -> {q} @ {tagged.tag_text()} -> {back}")
-    for off in t.offsets:
-        produced = set(buckets[off])
-        for q in sorted(expected[off] - produced, reverse=True):
-            failures.append(f"bucket n{off:+d}: {q} never produced")
-        for q in sorted(produced - expected[off], reverse=True):
-            failures.append(f"bucket n{off:+d}: {q} produced but not expected")
-    for off in t.offsets:
-        for q in sorted(expected[off], reverse=True):
-            try:
-                p = t.inverse(TaggedPreimage(off, q))
-            except DomainError as exc:
-                failures.append(f"inverse undefined on bucket member {q} @ n{off:+d}: {exc}")
-                continue
-            if p.weight != n or not is_member(p, t.domain_class):
-                failures.append(f"inverse sends {q} @ n{off:+d} to {p}, outside {t.domain_class.value}({n})")
-    codomain_size = sum(len(expected[off]) for off in t.offsets)
-    return AuditRecord(n, len(domain), codomain_size, not failures, tuple(failures))
-
-
-def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord:
-    if isinstance(mapping, TotalDecomposition):
-        return _audit_total(mapping, n)
-    return _audit_plain(mapping, n)
 
 
 def _cap_failures(records: list[AuditRecord]) -> list[AuditRecord]:
@@ -524,6 +478,13 @@ class CrossCheckReport:
 _ENUM_CHECK_CAP = 35
 
 
+def _compare(name: str, n_hi: int, **tables: tuple[int, ...]) -> CrossCheckRecord:
+    """A record of the first 20 weights <= n_hi at which two named tables differ."""
+    (label_a, a), (label_b, b) = tables.items()
+    bad = tuple(f"n={n}: {label_a}={a[n]} {label_b}={b[n]}" for n in range(n_hi + 1) if a[n] != b[n])[:20]
+    return CrossCheckRecord(name, n_hi, not bad, bad)
+
+
 def cross_check_counts(n_max: int) -> CrossCheckReport:
     """Check ENUM=DP, DP=SERIES, and ped=four_regular over 0..n_max."""
     if n_max < 0:
@@ -533,21 +494,12 @@ def cross_check_counts(n_max: int) -> CrossCheckReport:
     for cls in PartitionClass:
         a = count_table(cls, enum_top, "enum").counts
         b = count_table(cls, enum_top, "dp").counts
-        bad = tuple(
-            f"n={n}: enum={a[n]} dp={b[n]}" for n in range(enum_top + 1) if a[n] != b[n]
-        )[:20]
-        records.append(CrossCheckRecord(f"enum_vs_dp:{cls.value}", enum_top, not bad, bad))
+        records.append(_compare(f"enum_vs_dp:{cls.value}", enum_top, enum=a, dp=b))
     for cls in SERIES_CLASSES:
         a = count_table(cls, n_max, "dp").counts
         b = count_table(cls, n_max, "series").counts
-        bad = tuple(
-            f"n={n}: dp={a[n]} series={b[n]}" for n in range(n_max + 1) if a[n] != b[n]
-        )[:20]
-        records.append(CrossCheckRecord(f"dp_vs_series:{cls.value}", n_max, not bad, bad))
+        records.append(_compare(f"dp_vs_series:{cls.value}", n_max, dp=a, series=b))
     ped = count_table(PartitionClass.PED, n_max, "dp").counts
     four = count_table(PartitionClass.FOUR_REGULAR, n_max, "dp").counts
-    bad = tuple(
-        f"n={n}: ped={ped[n]} four_regular={four[n]}" for n in range(n_max + 1) if ped[n] != four[n]
-    )[:20]
-    records.append(CrossCheckRecord("ped_equals_four_regular", n_max, not bad, bad))
+    records.append(_compare("ped_equals_four_regular", n_max, ped=ped, four_regular=four))
     return CrossCheckReport(n_max, tuple(records), all(r.passed for r in records))

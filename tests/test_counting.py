@@ -9,16 +9,7 @@ import pytest
 
 from pedpod import counting
 from pedpod.core import PartitionClass, is_member
-from pedpod.counting import (
-    ENUM_CAP,
-    CountTable,
-    ProductFactor,
-    SeriesProductSpec,
-    class_count,
-    count_table,
-    series_coefficients,
-    series_spec_for,
-)
+from pedpod.counting import ENUM_CAP, CountTable, class_count, count_table
 from pedpod.enumeration import all_partitions
 
 SERIES_CLASSES = (
@@ -68,12 +59,12 @@ def test_series_classes_are_the_product_form_classes():
     assert counting.SERIES_CLASSES == SERIES_CLASSES
     for cls in set(PartitionClass) - set(SERIES_CLASSES):
         with pytest.raises(ValueError):
-            series_spec_for(cls, 10)
+            count_table(cls, 10, "series")
 
 
 def test_series_backend_rejects_non_product_classes():
     with pytest.raises(ValueError):
-        series_spec_for(PartitionClass.D1, 10)
+        count_table(PartitionClass.D1, 10, "series")
     with pytest.raises(ValueError):
         count_table(PartitionClass.O3, 10, "series")
 
@@ -103,20 +94,6 @@ def test_gt_classes_drop_the_empty_partition_everywhere():
         assert count_table(cls, 6, "enum").counts[0] == 0
         assert count_table(cls, 6, "dp").counts[0] == 0
         assert count_table(cls, 6, "series").counts[0] == 0
-
-
-def test_empty_product_series():
-    spec = SeriesProductSpec(factors=(), n_max=3)
-    assert series_coefficients(spec) == [1, 0, 0, 0]
-
-
-def test_product_factor_validation():
-    with pytest.raises(ValueError):
-        ProductFactor(first=0, step=2, sign=1, inverse=False)
-    with pytest.raises(ValueError):
-        ProductFactor(first=1, step=0, sign=1, inverse=False)
-    with pytest.raises(ValueError):
-        ProductFactor(first=1, step=2, sign=2, inverse=False)
 
 
 def test_enum_backend_is_capped():

@@ -4,13 +4,13 @@ import dataclasses
 
 import pytest
 
-from pedpod.bijections import Bijection, BijectionId, TotalDecomposition
+from pedpod.bijections import Bijection, BijectionId, TotalDecomposition, get_bijection, thm2_sets, thm5_sets
 from pedpod.core import Partition, PartitionClass, is_member
+from pedpod.enumeration import all_partitions
 from pedpod.verification import (
     IDENTITIES,
     AuditRecord,
-    _audit_plain,
-    _audit_total,
+    _audit_one,
     _cap_failures,
     audit_bijection,
     audit_bijection_range,
@@ -173,7 +173,7 @@ def _broken_bijection():
 
 
 def test_audit_records_failures_without_throwing():
-    rec = _audit_plain(_broken_bijection(), 5)
+    rec = _audit_one(_broken_bijection(), 5)
     assert not rec.passed
     assert any("collide" in f for f in rec.failures)
     assert any("outside the codomain" in f for f in rec.failures)
@@ -182,7 +182,7 @@ def test_audit_records_failures_without_throwing():
 
 def test_audit_detects_wrong_weight_shift():
     broken = dataclasses.replace(_broken_bijection(), forward=lambda p: p)
-    rec = _audit_plain(broken, 5)
+    rec = _audit_one(broken, 5)
     assert not rec.passed
     assert any("shifts weight" in f for f in rec.failures)
 
@@ -195,9 +195,54 @@ def test_audit_detects_misrouted_total():
         original,
         forward=lambda p: dataclasses.replace(original.forward(p), offset=0),
     )
-    rec = _audit_total(broken, 5)
+    rec = _audit_one(broken, 5)
     assert not rec.passed
     assert any("bucket" in f for f in rec.failures)
+
+
+def _counted(mapping):
+    """The map with forward and inverse wrapped by call counters, and the counters."""
+    calls = {"forward": 0, "inverse": 0}
+
+    def counter(direction, fn):
+        def counted(x):
+            calls[direction] += 1
+            return fn(x)
+
+        return counted
+
+    wrapped = dataclasses.replace(
+        mapping, forward=counter("forward", mapping.forward), inverse=counter("inverse", mapping.inverse)
+    )
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("name", ["thm1.add", "thm2.total"])
+def test_audit_calls_each_direction_once_per_member(name):
+    mapping, calls = _counted(get_bijection(name))
+    rec = _audit_one(mapping, 20)
+    assert rec.passed and rec.domain_size > 0
+    assert calls == {"forward": rec.domain_size, "inverse": rec.codomain_size}
+
+
+@pytest.mark.parametrize(
+    "name, inverse",
+    [("thm1.add", lambda q: q), ("thm2.total", lambda tagged: tagged.partition)],
+)
+def test_audit_reports_a_broken_inverse_as_a_round_trip_failure(name, inverse):
+    broken = dataclasses.replace(get_bijection(name), inverse=inverse)
+    rec = _audit_one(broken, 12)
+    assert not rec.passed
+    assert any("round trip" in f for f in rec.failures)
+
+
+def test_total_audits_and_letter_sets_leave_the_partition_cache_alone():
+    before = all_partitions.cache_info()
+    for name in ("thm2.total", "thm5.total"):
+        assert audit_bijection_range(name, 0, 30).overall_pass
+    thm2_sets(30)
+    thm5_sets(30)
+    assert all_partitions.cache_info() == before
 
 
 def test_failure_cap():
