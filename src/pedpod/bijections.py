@@ -34,11 +34,13 @@ inside POD(n) with the roles of the parities swapped and with parts 1 and 2
 acting as the small parts: C and D require every part to be at least 3,
 while A and B require a part 1 or 2.
 
-Each registered forward and inverse is its recipe behind one guard built
-from the entry's own predicates (`in_domain`/`in_codomain`, or for a tagged
-decomposition `domain_class` from `min_weight` and `bucket_class`); outside
-them it raises DomainError.  The module-level recipes are unguarded, and the
-totals call them directly, so no predicate runs twice in one call.
+Every map describes its two sides the same way: a domain class and a
+codomain class (its envelopes), one `min_weight` gate on the identity
+weight, and for a plain map a shape read only on the envelope's members.
+`in_domain`/`in_codomain` are envelope and gate and shape, and one guard,
+`_guard`, puts every registered forward and inverse behind them; outside
+them it raises DomainError.  The module-level recipes are unguarded, and
+the totals call them directly, so no predicate runs twice in one call.
 
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
@@ -49,7 +51,7 @@ check enforces that the deficit is even and non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -165,62 +167,55 @@ def _unsub(top: int) -> Callable[[Partition], Partition]:
 
 
 # ---------------------------------------------------------------------------
-# The thm2 letter sets.  All live inside PED(n).
+# The thm2 letter sets, as shapes read on PED members.
 
 
-def in_set_c2(p: Partition) -> bool:
+def _c2(p: Partition) -> bool:
     """C: even largest part and no part 1."""
-    return bool(p) and p[0] % 2 == 0 and p[-1] != 1 and is_member(p, PartitionClass.PED)
+    return bool(p) and p[0] % 2 == 0 and p[-1] != 1
 
 
-def in_set_d2(p: Partition) -> bool:
+def _d2(p: Partition) -> bool:
     """D: odd largest part, next part at least 2 below it (or absent), no part 1."""
-    return (
-        bool(p)
-        and p[0] % 2 == 1
-        and p[-1] != 1
-        and (len(p) == 1 or p[1] <= p[0] - 2)
-        and is_member(p, PartitionClass.PED)
-    )
+    return bool(p) and p[0] % 2 == 1 and p[-1] != 1 and (len(p) == 1 or p[1] <= p[0] - 2)
 
 
-def in_set_a2(p: Partition) -> bool:
-    """A: D2 member containing a part 1."""
-    return bool(p) and p[-1] == 1 and is_member(p, PartitionClass.D2)
+def _a2(p: Partition) -> bool:
+    """A: D2 member (odd largest part, repeated) containing a part 1."""
+    return len(p) > 1 and p[0] % 2 == 1 and p[1] == p[0] and p[-1] == 1
 
 
-def in_set_b2(p: Partition) -> bool:
+def _b2(p: Partition) -> bool:
     """B: shape (L, L-1, ...) with L odd, containing a part 1."""
-    return (
-        len(p) > 1
-        and p[0] % 2 == 1
-        and p[1] == p[0] - 1
-        and p[-1] == 1
-        and is_member(p, PartitionClass.PED)
-    )
+    return len(p) > 1 and p[0] % 2 == 1 and p[1] == p[0] - 1 and p[-1] == 1
 
 
-def in_set_c2_prime(p: Partition) -> bool:
+def _c2_prime(p: Partition) -> bool:
     """C': the singleton (n) and the pair (n-2, 2)."""
-    return in_set_c2(p) and (len(p) == 1 or (len(p) == 2 and p[1] == 2))
+    return _c2(p) and (len(p) == 1 or (len(p) == 2 and p[1] == 2))
 
 
-def in_set_d2_prime(p: Partition) -> bool:
+def _d2_prime(p: Partition) -> bool:
     """D': the singleton (n) and the shapes with the second part exactly L-2."""
-    return in_set_d2(p) and (len(p) == 1 or p[1] == p[0] - 2)
+    return _d2(p) and (len(p) == 1 or p[1] == p[0] - 2)
 
 
-def in_set_a2_prime(p: Partition) -> bool:
+def _a2_prime(p: Partition) -> bool:
     """A': the all-ones partition and the A members with exactly two 1s."""
-    if not in_set_a2(p):
+    if not _a2(p):
         return False
     ones = p.multiplicity(1)
     return ones == len(p) or ones == 2
 
 
-def in_set_b2_prime(p: Partition) -> bool:
+def _b2_prime(p: Partition) -> bool:
     """B': the shapes (3, 2, 1, ..., 1) of even weight."""
-    return in_set_b2(p) and p[0] == 3 and p.weight % 2 == 0
+    return _b2(p) and p[0] == 3 and p.weight % 2 == 0
+
+
+def _letter_sets(n: int, family: PartitionClass, shapes: dict) -> dict[str, tuple[Partition, ...]]:
+    pool = class_members(n, family).members
+    return {name: tuple(p for p in pool if shape(p)) for name, shape in shapes.items()}
 
 
 # thm2.exchange.CA: trade an even largest part 2l for a doubled second part
@@ -289,18 +284,8 @@ def b2_exceptional_inverse(q: Partition) -> Partition:
 
 def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     """Materialize the eight thm2 letter sets at weight n, each a subset of PED(n)."""
-    tests = {
-        "C": in_set_c2,
-        "D": in_set_d2,
-        "A": in_set_a2,
-        "B": in_set_b2,
-        "C'": in_set_c2_prime,
-        "D'": in_set_d2_prime,
-        "A'": in_set_a2_prime,
-        "B'": in_set_b2_prime,
-    }
-    pool = class_members(n, PartitionClass.PED).members
-    return {name: tuple(p for p in pool if test(p)) for name, test in tests.items()}
+    primes = {"C'": _c2_prime, "D'": _d2_prime, "A'": _a2_prime, "B'": _b2_prime}
+    return _letter_sets(n, PartitionClass.PED, {"C": _c2, "D": _d2, "A": _a2, "B": _b2, **primes})
 
 
 # thm2.total: the assembled decomposition PED_GT1(n) -> D2(n) union D2(n-3).
@@ -328,58 +313,44 @@ def b2_total_inverse(tagged: TaggedPreimage) -> Partition:
     if tagged.offset == 0:
         if q[-1] != 1:
             return q
-        if in_set_a2_prime(q):
+        if _a2_prime(q):
             return b2_exceptional_inverse(q)
         return b2_exchange_ca_inverse(q)
     lifted = _shift_up(q)
     if lifted[-1] != 1:
         return lifted
-    if in_set_b2_prime(lifted):
+    if _b2_prime(lifted):
         return b2_exceptional_inverse(lifted)
     return b2_exchange_db_inverse(lifted)
 
 
 # ---------------------------------------------------------------------------
-# The thm5 letter sets.  All live inside POD(n).
+# The thm5 letter sets, as shapes read on POD members.
 
 
-def in_set_c5(p: Partition) -> bool:
+def _c5(p: Partition) -> bool:
     """C: odd largest part and every part at least 3."""
-    return bool(p) and p[0] % 2 == 1 and p[-1] >= 3 and is_member(p, PartitionClass.POD)
+    return bool(p) and p[0] % 2 == 1 and p[-1] >= 3
 
 
-def in_set_d5(p: Partition) -> bool:
+def _d5(p: Partition) -> bool:
     """D: even largest, next part at least 2 below (or absent), every part >= 3."""
-    return (
-        bool(p)
-        and p[0] % 2 == 0
-        and p[-1] >= 3
-        and (len(p) == 1 or p[1] <= p[0] - 2)
-        and is_member(p, PartitionClass.POD)
-    )
+    return bool(p) and p[0] % 2 == 0 and p[-1] >= 3 and (len(p) == 1 or p[1] <= p[0] - 2)
 
 
-def in_set_a5(p: Partition) -> bool:
-    """A: O2 member whose smallest part is 1 or 2."""
-    return bool(p) and p[-1] <= 2 and is_member(p, PartitionClass.O2)
+def _a5(p: Partition) -> bool:
+    """A: O2 member (even largest part, repeated) whose smallest part is 1 or 2."""
+    return len(p) > 1 and p[0] % 2 == 0 and p[1] == p[0] and p[-1] <= 2
 
 
-def in_set_b5(p: Partition) -> bool:
+def _b5(p: Partition) -> bool:
     """B: shape (L, L-1, ...) with L even, smallest part 1 or 2."""
-    return (
-        len(p) > 1
-        and p[0] % 2 == 0
-        and p[1] == p[0] - 1
-        and p[-1] <= 2
-        and is_member(p, PartitionClass.POD)
-    )
+    return len(p) > 1 and p[0] % 2 == 0 and p[1] == p[0] - 1 and p[-1] <= 2
 
 
 def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     """Materialize the four thm5 letter sets at weight n, each a subset of POD(n)."""
-    tests = {"C": in_set_c5, "D": in_set_d5, "A": in_set_a5, "B": in_set_b5}
-    pool = class_members(n, PartitionClass.POD).members
-    return {name: tuple(p for p in pool if test(p)) for name, test in tests.items()}
+    return _letter_sets(n, PartitionClass.POD, {"C": _c5, "D": _d5, "A": _a5, "B": _b5})
 
 
 # thm5.exchange: C union D -> A union B.  Every image carries the tail
@@ -468,27 +439,45 @@ def b5_total_inverse(tagged: TaggedPreimage) -> Partition:
 # Registry
 
 
+def _whole(p: Partition) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class Bijection:
-    """A plain weight-shifting bijection with enumerable domain and codomain.
+    """A plain weight-shifting bijection between two shapes inside two classes.
 
-    The predicates take a candidate partition; weight gates are part of the
-    predicate.  An audit at identity weight n enumerates the codomain at
-    weight n and the domain at weight n - weight_shift.
+    At identity weight n the domain is the domain_class members of weight
+    n - weight_shift that have domain_shape, and the codomain the
+    codomain_class members of weight n that have codomain_shape; both are
+    empty below min_weight.  A shape is only read on members of its class.
     """
 
     id: BijectionId
+    domain_class: PartitionClass
+    codomain_class: PartitionClass
     weight_shift: int
+    min_weight: int
     forward: Callable[[Partition], Partition]
     inverse: Callable[[Partition], Partition]
-    in_domain: Callable[[Partition], bool]
-    in_codomain: Callable[[Partition], bool]
+    domain_shape: Callable[[Partition], bool] = _whole
+    codomain_shape: Callable[[Partition], bool] = _whole
     reconstructed: bool = False
     summary: str = ""
 
     @property
     def name(self) -> str:
         return self.id.value
+
+    def in_domain(self, p: Partition) -> bool:
+        return (
+            is_member(p, self.domain_class)
+            and p.weight + self.weight_shift >= self.min_weight
+            and self.domain_shape(p)
+        )
+
+    def in_codomain(self, q: Partition) -> bool:
+        return is_member(q, self.codomain_class) and q.weight >= self.min_weight and self.codomain_shape(q)
 
 
 @dataclass(frozen=True)
@@ -498,7 +487,7 @@ class TotalDecomposition:
     forward sends a `domain_class` member of weight n to a `bucket_class`
     member of weight n or n-3 together with the bucket tag; over all of
     domain_class(n) the two buckets fill bucket_class(n) and
-    bucket_class(n-3) exactly.  min_weight gates the domain.
+    bucket_class(n-3) exactly.  Both sides are empty below min_weight.
     """
 
     id: BijectionId
@@ -515,75 +504,44 @@ class TotalDecomposition:
     def name(self) -> str:
         return self.id.value
 
+    def in_domain(self, p: Partition) -> bool:
+        return is_member(p, self.domain_class) and p.weight >= self.min_weight
 
-def _guarded(check: Callable, recipe: Callable, what: str) -> Callable:
-    """recipe, refusing with a DomainError every argument that check rejects."""
-
-    def guarded(x):
-        if not check(x):
-            raise DomainError(f"{x} is outside the {what}")
-        return recipe(x)
-
-    return guarded
-
-
-def _plain(bid, shift, forward, inverse, in_domain, in_codomain, **flags) -> Bijection:
-    """A Bijection whose forward and inverse are its recipes behind its own predicates."""
-    name = bid.value
-    return Bijection(
-        bid,
-        shift,
-        _guarded(in_domain, forward, f"domain of {name}"),
-        _guarded(in_codomain, inverse, f"codomain of {name}"),
-        in_domain,
-        in_codomain,
-        **flags,
-    )
-
-
-def _total(bid, domain_class, bucket_class, min_weight, forward, inverse, summary) -> TotalDecomposition:
-    """A TotalDecomposition guarded by its classes and min_weight.
-
-    forward takes domain_class members of weight at least min_weight; inverse
-    takes a bucket_class member tagged with a known offset whose identity
-    weight, its own weight minus the offset, is at least min_weight.
-    """
-    offsets = (0, -3)
-
-    def in_domain(p: Partition) -> bool:
-        return is_member(p, domain_class) and p.weight >= min_weight
-
-    def in_buckets(t: TaggedPreimage) -> bool:
+    def in_codomain(self, t: TaggedPreimage) -> bool:
+        """A bucket member under a known tag whose identity weight passes the gate."""
         q = t.partition
-        return t.offset in offsets and is_member(q, bucket_class) and q.weight - t.offset >= min_weight
+        return (
+            t.offset in self.offsets
+            and is_member(q, self.bucket_class)
+            and q.weight - t.offset >= self.min_weight
+        )
 
-    name = bid.value
-    return TotalDecomposition(
-        bid,
-        domain_class,
-        bucket_class,
-        offsets,
-        min_weight,
-        _guarded(in_domain, forward, f"domain of {name}"),
-        _guarded(in_buckets, inverse, f"buckets of {name}"),
-        summary=summary,
+
+def _guard(entry: "Bijection | TotalDecomposition") -> "Bijection | TotalDecomposition":
+    """entry with its recipes refusing, by DomainError, what in_domain and in_codomain reject."""
+    codomain = "buckets" if isinstance(entry, TotalDecomposition) else "codomain"
+
+    def guarded(check: Callable, recipe: Callable, side: str) -> Callable:
+        def run(x):
+            if not check(x):
+                raise DomainError(f"{x} is outside the {side} of {entry.name}")
+            return recipe(x)
+
+        return run
+
+    return replace(
+        entry,
+        forward=guarded(entry.in_domain, entry.forward, "domain"),
+        inverse=guarded(entry.in_codomain, entry.inverse, codomain),
     )
-
-
-def _from_weight(partition_class: PartitionClass, least: int) -> Callable[[Partition], bool]:
-    return lambda p: is_member(p, partition_class) and p.weight >= least
-
-
-def _family_codomain(family: PartitionClass, shape: Callable, gate: int) -> Callable[[Partition], bool]:
-    return lambda q: bool(q) and shape(q) and is_member(q, family) and q.weight >= gate
 
 
 def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bijection]:
     """thm1.add, thm2.shift, thm3.add and thm3.sub for PED, or their mirrors for POD.
 
     top is the parity of every domain member's largest part (odd for D1-D3,
-    even for O1-O3), domains the three domain classes, and gates the least
-    codomain weight of each map; a domain starts at its gate minus the shift.
+    even for O1-O3), domains the three domain classes, and gates each map's
+    min_weight, the least identity weight of its codomain.
     """
     d1, d2, d3 = domains
     word = ("even", "odd")[top]
@@ -598,8 +556,8 @@ def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bije
          f"lower the unique {word} largest part by 2 and re-sort"),
     )
     return [
-        _plain(bid, shift, forward, inverse, _from_weight(domain, gate - shift),
-               _family_codomain(family, shape, gate), reconstructed=flag, summary=summary)
+        Bijection(bid, domain, family, shift, gate, forward, inverse,
+                  codomain_shape=shape, reconstructed=flag, summary=summary)
         for bid, gate, flag, (shift, domain, shape, forward, inverse, summary)
         in zip(ids, gates, reconstructed, maps)
     ]
@@ -612,36 +570,36 @@ def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
                         (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
         *_mirror_family(C.POD, 0, (C.O1, C.O2, C.O3), (2, 5, 3, 3),
                         (B.B4, B.B5_SHIFT, B.B6_ADD, B.B6_SUB), (True, False, True, True)),
-        _plain(
-            B.B2_EXCHANGE_CA, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse,
-            lambda p: in_set_c2(p) and not in_set_c2_prime(p),
-            lambda q: in_set_a2(q) and not in_set_a2_prime(q),
+        Bijection(
+            B.B2_EXCHANGE_CA, C.PED_GT1, C.D2, 0, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse,
+            lambda p: _c2(p) and not _c2_prime(p),
+            lambda q: _a2(q) and not _a2_prime(q),
             summary="trade the even largest part for a doubled second part plus 1s",
         ),
-        _plain(
-            B.B2_EXCHANGE_DB, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
-            lambda p: in_set_d2(p) and not in_set_d2_prime(p),
-            lambda q: in_set_b2(q) and not in_set_b2_prime(q),
+        Bijection(
+            B.B2_EXCHANGE_DB, C.PED_GT1, C.D1, 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
+            lambda p: _d2(p) and not _d2_prime(p),
+            lambda q: _b2(q) and not _b2_prime(q),
             summary="push the odd largest part onto the second plus filler 1s",
         ),
-        _plain(
-            B.B2_EXCEPTIONAL, 0, b2_exceptional_forward, b2_exceptional_inverse,
-            lambda p: in_set_c2_prime(p) or in_set_d2_prime(p),
-            lambda q: in_set_a2_prime(q) or in_set_b2_prime(q),
+        Bijection(
+            B.B2_EXCEPTIONAL, C.PED_GT1, C.D1, 0, 0, b2_exceptional_forward, b2_exceptional_inverse,
+            lambda p: _c2_prime(p) or _d2_prime(p),
+            lambda q: _a2_prime(q) or _b2_prime(q),
             summary="finite trade between the primed shapes",
         ),
-        _plain(
-            B.B5_EXCHANGE, 0, b5_exchange_forward, b5_exchange_inverse,
-            lambda p: in_set_c5(p) or in_set_d5(p),
-            lambda q: in_set_a5(q) or in_set_b5(q),
+        Bijection(
+            B.B5_EXCHANGE, C.POD_GT2, C.O1, 0, 0, b5_exchange_forward, b5_exchange_inverse,
+            lambda p: _c5(p) or _d5(p),
+            lambda q: _a5(q) or _b5(q),
             summary="trade the largest part for repeated parts plus filler 2s",
         ),
-        _total(B.B2_TOTAL, C.PED_GT1, C.D2, 1, b2_total_forward, b2_total_inverse,
-               "split PED_GT1(n) across D2(n) and D2(n-3)"),
-        _total(B.B5_TOTAL, C.POD_GT2, C.O2, 5, b5_total_forward, b5_total_inverse,
-               "split POD_GT2(n) across O2(n) and O2(n-3)"),
+        TotalDecomposition(B.B2_TOTAL, C.PED_GT1, C.D2, (0, -3), 1, b2_total_forward, b2_total_inverse,
+                           summary="split PED_GT1(n) across D2(n) and D2(n-3)"),
+        TotalDecomposition(B.B5_TOTAL, C.POD_GT2, C.O2, (0, -3), 5, b5_total_forward, b5_total_inverse,
+                           summary="split POD_GT2(n) across O2(n) and O2(n-3)"),
     ]
-    by_id = {entry.id: entry for entry in entries}
+    by_id = {entry.id: _guard(entry) for entry in entries}
     return {bid: by_id[bid] for bid in BijectionId}
 
 

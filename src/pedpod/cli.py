@@ -13,8 +13,9 @@ Exit status: 0 on success, 1 when a verification or audit fails, 2 on
 usage errors (unknown selectors, malformed partitions, bad ranges).  Fixed
 caps bound the work: `count --to`, `verify --to` and `crosscheck --to` are
 at most 10000 on every back-end (the enum back-end stops earlier, at 50),
-and `list --n` is at most 60, where `list --class all` prints
-p(60) = 966467 lines.
+`list --n` is at most 60, where `list --class all` prints p(60) = 966467
+lines, and `audit --to` is at most 50, where thm3.sub has 31535 members on
+each side.
 Output is deterministic for fixed inputs.  The PEDPOD_WIDTH environment
 variable, when set to a positive integer, caps the line width of table
 output; csv and json output ignore it.

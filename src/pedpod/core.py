@@ -44,10 +44,6 @@ class Partition(tuple):
         return tuple.__new__(cls, ordered)
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
     def weight(self) -> int:
         return sum(self)
 

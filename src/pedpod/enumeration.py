@@ -6,15 +6,13 @@ class: a pruned recursion places one distinct part size at a time, largest
 size and most copies first, and never builds a partition outside the class.
 So a listing costs time in proportion to the class, not to p(n), and comes
 out in the same decreasing order as the filtered stream.  The `all` listing
-is the stream itself.  Neither path reads or fills the all_partitions cache.
-Generation is for small n; counting at larger n belongs to the DP and series
-back-ends.
+is the stream itself.  Generation is for small n; counting at larger n
+belongs to the DP and series back-ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .core import Partition, PartitionClass
@@ -45,9 +43,8 @@ def partitions_of(n: int) -> Iterator[Partition]:
             spare -= chunk
 
 
-@lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
-    """Materialized, cached form of partitions_of; empty for negative n."""
+    """Materialized form of partitions_of; empty for negative n."""
     if n < 0:
         return ()
     return tuple(partitions_of(n))

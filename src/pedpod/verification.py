@@ -17,11 +17,11 @@ side counts the partition (3) and the left side counts nothing.)
 Audits enumerate a map's declared domain and codomain outright and check
 totality, the declared weight shift, landing inside the codomain,
 injectivity, surjectivity, and both round trips.  The audit weight n is
-the identity's n.  One engine audits both kinds of map.  A plain map
-filters the partitions of n - weight_shift (domain) and of n (codomain) by
-its own predicates.  A tagged decomposition lists its domain and each
-bucket, tagged with its offset, by class_members: exactly the counting
-argument the identities rest on.
+the identity's n.  One engine audits both kinds of map, and every side is
+listed from its class by class_members: a plain map's domain at weight
+n - weight_shift and codomain at n, each filtered by the map's shape, and
+a tagged decomposition's domain and each bucket, tagged with its offset.
+This is exactly the counting argument the identities rest on.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .bijections import (
 )
 from .core import Partition, PartitionClass
 from .counting import ENUM_CAP, SERIES_CLASSES, count_table, normalize_backend
-from .enumeration import all_partitions, class_members
+from .enumeration import class_members
 
-_AUDIT_WEIGHT_CAP = 40
+_AUDIT_WEIGHT_CAP = 50
 _FAILURE_CAP = 100
 
 
@@ -331,6 +331,11 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _listed(n: int, partition_class: PartitionClass) -> tuple[Partition, ...]:
+    """The members of a class at weight n; none at a negative weight."""
+    return class_members(n, partition_class).members if n >= 0 else ()
+
+
 def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord:
     """Audit a map at identity weight n, calling each direction once per member.
 
@@ -339,19 +344,16 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
     these prove both round trips.
     """
     tagged = isinstance(mapping, TotalDecomposition)
-    if not tagged:
-        domain = [p for p in all_partitions(n - mapping.weight_shift) if mapping.in_domain(p)]
-        codomain = [q for q in all_partitions(n) if mapping.in_codomain(q)]
-    elif n < mapping.min_weight:
-        domain = codomain = ()  # below the gate the decomposition is undefined
-    else:
-        domain = class_members(n, mapping.domain_class).members
+    if n < mapping.min_weight:
+        domain = codomain = ()  # below the gate both sides are empty
+    elif tagged:
+        domain = _listed(n, mapping.domain_class)
         codomain = [
-            TaggedPreimage(off, q)
-            for off in mapping.offsets
-            if n + off >= 0
-            for q in class_members(n + off, mapping.bucket_class).members
+            TaggedPreimage(off, q) for off in mapping.offsets for q in _listed(n + off, mapping.bucket_class)
         ]
+    else:
+        domain = [p for p in _listed(n - mapping.weight_shift, mapping.domain_class) if mapping.domain_shape(p)]
+        codomain = [q for q in _listed(n, mapping.codomain_class) if mapping.codomain_shape(q)]
     members = set(codomain)
     failures: list[str] = []
     preimage: dict[Partition | TaggedPreimage, Partition] = {}
@@ -410,7 +412,7 @@ def audit_bijection_range(key: "BijectionId | str", n_lo: int, n_hi: int) -> Aud
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
     if n_hi > _AUDIT_WEIGHT_CAP:
-        raise ValueError(f"audits enumerate partitions exhaustively; n_hi is capped at {_AUDIT_WEIGHT_CAP}")
+        raise ValueError(f"audits list both sides of a map in full; n_hi is capped at {_AUDIT_WEIGHT_CAP}")
     records = _cap_failures([_audit_one(mapping, n) for n in range(n_lo, n_hi + 1)])
     kind = "total" if isinstance(mapping, TotalDecomposition) else "bijection"
     return AuditReport(

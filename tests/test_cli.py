@@ -149,6 +149,13 @@ def test_audit_exit_codes(monkeypatch, capsys):
     assert code == 1
 
 
+def test_audit_to_is_capped(capsys):
+    code, out, err = run(["audit", "--bijection", "thm1.add", "--to", "51"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: audits list both sides of a map in full; n_hi is capped at 50\n"
+
+
 def test_audit_json(capsys):
     code, out, _ = run(["audit", "--bijection", "thm6.sub", "--to", "8", "--format", "json"], capsys)
     assert code == 0

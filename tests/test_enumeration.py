@@ -116,11 +116,12 @@ def test_listings_equal_the_filtered_stream():
             assert class_members(n, cls).members == expected, (n, cls)
 
 
-def test_listings_and_enum_counts_leave_the_partition_cache_alone(monkeypatch):
+def test_listings_and_enum_counts_never_walk_every_partition(monkeypatch, partition_stream_forbidden):
     monkeypatch.setattr(counting, "_TABLES", {})  # force a fresh enum build
-    before = all_partitions.cache_info()
-    for n in (40, 45):
-        class_members(n, PartitionClass.D2)
-        class_members(n, PartitionClass.O1)
-    counting.count_table(PartitionClass.PED, 40, "enum")
-    assert all_partitions.cache_info() == before
+    enum = counting.count_table(PartitionClass.PED, 40, "enum").counts
+    assert enum == counting.count_table(PartitionClass.PED, 40, "dp").counts
+    for cls in PartitionClass:
+        if cls is not PartitionClass.ALL:
+            dp = counting.count_table(cls, 45, "dp").counts
+            for n in (0, 17, 45):
+                assert len(class_members(n, cls).members) == dp[n], (cls, n)

@@ -4,9 +4,17 @@ import dataclasses
 
 import pytest
 
-from pedpod.bijections import Bijection, BijectionId, TotalDecomposition, get_bijection, thm2_sets, thm5_sets
-from pedpod.core import Partition, PartitionClass, is_member
-from pedpod.enumeration import all_partitions
+from pedpod.bijections import (
+    Bijection,
+    BijectionId,
+    TotalDecomposition,
+    bijection_names,
+    get_bijection,
+    thm2_sets,
+    thm5_sets,
+)
+from pedpod.core import Partition, PartitionClass
+from pedpod.counting import count_table
 from pedpod.verification import (
     IDENTITIES,
     AuditRecord,
@@ -140,11 +148,22 @@ def test_audit_vacuous_at_0():
 
 def test_audit_range_arguments():
     with pytest.raises(ValueError):
-        audit_bijection_range("thm1.add", 0, 41)
+        audit_bijection_range("thm1.add", 0, 51)
     with pytest.raises(ValueError):
         audit_bijection_range("thm1.add", 5, 4)
     with pytest.raises(ValueError):
         audit_bijection_range("no.such.map", 0, 5)
+
+
+@pytest.mark.parametrize(
+    "name, domain_class, weight",
+    [("thm4.add", PartitionClass.O1, 49), ("thm6.add", PartitionClass.O3, 49), ("thm6.sub", PartitionClass.O3, 52)],
+)
+def test_reconstructed_maps_pass_at_the_audit_cap(name, domain_class, weight):
+    report = audit_bijection(name, 50)
+    assert report.overall_pass and report.reconstructed
+    rec = report.records[0]
+    assert rec.domain_size == rec.codomain_size == count_table(domain_class, weight).counts[weight]
 
 
 def test_audit_report_serialization():
@@ -164,11 +183,13 @@ def test_audit_report_serialization():
 def _broken_bijection():
     return Bijection(
         id=BijectionId.B1,
+        domain_class=PartitionClass.D1,
+        codomain_class=PartitionClass.PED,
         weight_shift=1,
+        min_weight=1,
         forward=lambda p: Partition((p.weight + 1,)),  # constant-shape image
         inverse=lambda q: q,
-        in_domain=lambda p: is_member(p, PartitionClass.D1),
-        in_codomain=lambda q: bool(q) and q[0] % 2 == 0 and is_member(q, PartitionClass.PED),
+        codomain_shape=lambda q: q[0] % 2 == 0,
     )
 
 
@@ -236,13 +257,13 @@ def test_audit_reports_a_broken_inverse_as_a_round_trip_failure(name, inverse):
     assert any("round trip" in f for f in rec.failures)
 
 
-def test_total_audits_and_letter_sets_leave_the_partition_cache_alone():
-    before = all_partitions.cache_info()
-    for name in ("thm2.total", "thm5.total"):
-        assert audit_bijection_range(name, 0, 30).overall_pass
-    thm2_sets(30)
-    thm5_sets(30)
-    assert all_partitions.cache_info() == before
+def test_audits_and_letter_sets_never_walk_every_partition(partition_stream_forbidden):
+    for name in bijection_names():
+        assert audit_bijection_range(name, 0, 12).overall_pass, name
+    s2 = {k: set(v) for k, v in thm2_sets(30).items()}
+    assert len(s2["C"] - s2["C'"]) == len(s2["A"] - s2["A'"]) > 0
+    s5 = thm5_sets(30)
+    assert len(s5["C"]) + len(s5["D"]) == len(s5["A"]) + len(s5["B"]) > 0
 
 
 def test_failure_cap():
@@ -255,8 +276,6 @@ def test_failure_cap():
 
 
 def test_all_registered_maps_pass_to_20():
-    from pedpod.bijections import bijection_names
-
     for name in bijection_names():
         assert audit_bijection_range(name, 0, 20).overall_pass, name
 
