@@ -39,8 +39,13 @@ codomain class (its envelopes), one `min_weight` gate on the identity
 weight, and for a plain map a shape read only on the envelope's members.
 `in_domain`/`in_codomain` are envelope and gate and shape, and one guard,
 `_guard`, puts every registered forward and inverse behind them; outside
-them it raises DomainError.  The module-level recipes are unguarded, and
-the totals call them directly, so no predicate runs twice in one call.
+them it raises DomainError.
+
+`_total` assembles thm2.total and thm5.total from their identity's
+unguarded plain maps: the exchange pieces' shapes route a domain member
+to its piece, and the shift map's codomain shape sends the image down
+into the n-3 bucket.  Every other field (classes, offsets, gate) is read
+off the shift and the pieces, and one call runs the total's guard only.
 
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
@@ -102,7 +107,7 @@ class TaggedPreimage:
     partition: Partition
 
     def tag_text(self) -> str:
-        return "n" if self.offset == 0 else f"n{self.offset}"
+        return "n" if self.offset == 0 else f"n{self.offset:+d}"
 
     def __str__(self) -> str:
         return f"{self.partition.to_text()} @ {self.tag_text()}"
@@ -288,42 +293,6 @@ def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     return _letter_sets(n, PartitionClass.PED, {"C": _c2, "D": _d2, "A": _a2, "B": _b2, **primes})
 
 
-# thm2.total: the assembled decomposition PED_GT1(n) -> D2(n) union D2(n-3).
-
-
-def b2_total_forward(p: Partition) -> TaggedPreimage:
-    largest = p[0]
-    if largest % 2 == 1:
-        if len(p) > 1 and p[1] == largest:
-            return TaggedPreimage(0, p)  # already a D2 member without 1s
-        if len(p) > 1 and p[1] == largest - 1:
-            return TaggedPreimage(-3, _shift_down(p))
-        if len(p) == 1 or p[1] == largest - 2:
-            return TaggedPreimage(0, b2_exceptional_forward(p))
-        return TaggedPreimage(-3, _shift_down(b2_exchange_db_forward(p)))
-    if len(p) == 1:
-        return TaggedPreimage(0, b2_exceptional_forward(p))
-    if len(p) == 2 and p[1] == 2:
-        return TaggedPreimage(-3, _shift_down(b2_exceptional_forward(p)))
-    return TaggedPreimage(0, b2_exchange_ca_forward(p))
-
-
-def b2_total_inverse(tagged: TaggedPreimage) -> Partition:
-    q = tagged.partition
-    if tagged.offset == 0:
-        if q[-1] != 1:
-            return q
-        if _a2_prime(q):
-            return b2_exceptional_inverse(q)
-        return b2_exchange_ca_inverse(q)
-    lifted = _shift_up(q)
-    if lifted[-1] != 1:
-        return lifted
-    if _b2_prime(lifted):
-        return b2_exceptional_inverse(lifted)
-    return b2_exchange_db_inverse(lifted)
-
-
 # ---------------------------------------------------------------------------
 # The thm5 letter sets, as shapes read on POD members.
 
@@ -413,28 +382,6 @@ def b5_exchange_inverse(q: Partition) -> Partition:
     return _exact((a + 2 * twos,) + body[1:])
 
 
-# thm5.total: the assembled decomposition POD_GT2(n) -> O2(n) union O2(n-3),
-# defined for weights above the identity threshold of 4.
-
-
-def b5_total_forward(p: Partition) -> TaggedPreimage:
-    largest = p[0]
-    if largest % 2 == 0 and len(p) > 1:
-        if p[1] == largest:
-            return TaggedPreimage(0, p)  # already an O2 member with parts >= 3
-        if p[1] == largest - 1:
-            return TaggedPreimage(-3, _shift_down(p))
-    q = b5_exchange_forward(p)
-    if q[1] == q[0]:
-        return TaggedPreimage(0, q)
-    return TaggedPreimage(-3, _shift_down(q))
-
-
-def b5_total_inverse(tagged: TaggedPreimage) -> Partition:
-    q = tagged.partition if tagged.offset == 0 else _shift_up(tagged.partition)
-    return q if q[-1] > 2 else b5_exchange_inverse(q)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -463,7 +410,6 @@ class Bijection:
     domain_shape: Callable[[Partition], bool] = _whole
     codomain_shape: Callable[[Partition], bool] = _whole
     reconstructed: bool = False
-    summary: str = ""
 
     @property
     def name(self) -> str:
@@ -471,13 +417,19 @@ class Bijection:
 
     def in_domain(self, p: Partition) -> bool:
         return (
-            is_member(p, self.domain_class)
+            isinstance(p, Partition)
+            and is_member(p, self.domain_class)
             and p.weight + self.weight_shift >= self.min_weight
             and self.domain_shape(p)
         )
 
     def in_codomain(self, q: Partition) -> bool:
-        return is_member(q, self.codomain_class) and q.weight >= self.min_weight and self.codomain_shape(q)
+        return (
+            isinstance(q, Partition)
+            and is_member(q, self.codomain_class)
+            and q.weight >= self.min_weight
+            and self.codomain_shape(q)
+        )
 
 
 @dataclass(frozen=True)
@@ -498,22 +450,21 @@ class TotalDecomposition:
     forward: Callable[[Partition], TaggedPreimage]
     inverse: Callable[[TaggedPreimage], Partition]
     reconstructed: bool = False
-    summary: str = ""
 
     @property
     def name(self) -> str:
         return self.id.value
 
     def in_domain(self, p: Partition) -> bool:
-        return is_member(p, self.domain_class) and p.weight >= self.min_weight
+        return isinstance(p, Partition) and is_member(p, self.domain_class) and p.weight >= self.min_weight
 
     def in_codomain(self, t: TaggedPreimage) -> bool:
         """A bucket member under a known tag whose identity weight passes the gate."""
-        q = t.partition
         return (
-            t.offset in self.offsets
-            and is_member(q, self.bucket_class)
-            and q.weight - t.offset >= self.min_weight
+            isinstance(t, TaggedPreimage)
+            and t.offset in self.offsets
+            and is_member(t.partition, self.bucket_class)
+            and t.partition.weight - t.offset >= self.min_weight
         )
 
 
@@ -544,28 +495,49 @@ def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bije
     min_weight, the least identity weight of its codomain.
     """
     d1, d2, d3 = domains
-    word = ("even", "odd")[top]
     maps = (
-        (1, d1, lambda q: q[0] % 2 != top, _raise_top, _lower_top,
-         f"raise one copy of the {word} largest part by 1"),
-        (3, d2, lambda q: len(q) > 1 and q[0] % 2 == top and q[1] == q[0] - 1, _shift_up, _shift_down,
-         "add 2 and 1 to the two leading parts"),
-        (1, d3, lambda q: q[0] % 2 != top and (len(q) == 1 or q[1] <= q[0] - 2), _raise_top, _lower_top,
-         f"raise the unique {word} largest part by 1"),
-        (-2, d3, lambda q: q[0] % 2 == top or (len(q) > 1 and q[1] == q[0] - 1), _sub, _unsub(top),
-         f"lower the unique {word} largest part by 2 and re-sort"),
+        (1, d1, lambda q: q[0] % 2 != top, _raise_top, _lower_top),
+        (3, d2, lambda q: len(q) > 1 and q[0] % 2 == top and q[1] == q[0] - 1, _shift_up, _shift_down),
+        (1, d3, lambda q: q[0] % 2 != top and (len(q) == 1 or q[1] <= q[0] - 2), _raise_top, _lower_top),
+        (-2, d3, lambda q: q[0] % 2 == top or (len(q) > 1 and q[1] == q[0] - 1), _sub, _unsub(top)),
     )
     return [
-        Bijection(bid, domain, family, shift, gate, forward, inverse,
-                  codomain_shape=shape, reconstructed=flag, summary=summary)
-        for bid, gate, flag, (shift, domain, shape, forward, inverse, summary)
-        in zip(ids, gates, reconstructed, maps)
+        Bijection(bid, domain, family, shift, gate, forward, inverse, codomain_shape=shape, reconstructed=flag)
+        for bid, gate, flag, (shift, domain, shape, forward, inverse) in zip(ids, gates, reconstructed, maps)
     ]
+
+
+def _total(bid: BijectionId, shift: Bijection, pieces: tuple[Bijection, ...]) -> TotalDecomposition:
+    """The tagged decomposition one identity's shift map and exchange pieces assemble.
+
+    forward applies the piece whose domain shape p has (p passes through if
+    none has it); an image with the shift's codomain shape goes down the
+    shift's inverse into the bucket at n - weight_shift, any other image
+    stays in the bucket at n.  inverse lifts a low-bucket member with the
+    shift's forward, then undoes the piece whose codomain shape the result
+    has.  Shift and pieces come unguarded: the total's own guard already
+    admits only its domain and buckets, so one call runs one guard.
+    """
+    (domain_class,) = {piece.domain_class for piece in pieces}
+    low = -shift.weight_shift
+
+    def forward(p: Partition) -> TaggedPreimage:
+        q = next((piece.forward(p) for piece in pieces if piece.domain_shape(p)), p)
+        return TaggedPreimage(low, shift.inverse(q)) if shift.codomain_shape(q) else TaggedPreimage(0, q)
+
+    def inverse(t: TaggedPreimage) -> Partition:
+        q = shift.forward(t.partition) if t.offset == low else t.partition
+        return next((piece.inverse(q) for piece in pieces if piece.codomain_shape(q)), q)
+
+    return TotalDecomposition(
+        bid, domain_class, shift.domain_class, (0, low), shift.min_weight, forward, inverse,
+        reconstructed=shift.reconstructed or any(piece.reconstructed for piece in pieces),
+    )
 
 
 def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
     B, C = BijectionId, PartitionClass
-    entries = [
+    raw = {entry.id: entry for entry in [
         *_mirror_family(C.PED, 1, (C.D1, C.D2, C.D3), (1, 1, 1, 1),
                         (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
         *_mirror_family(C.POD, 0, (C.O1, C.O2, C.O3), (2, 5, 3, 3),
@@ -574,33 +546,27 @@ def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
             B.B2_EXCHANGE_CA, C.PED_GT1, C.D2, 0, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse,
             lambda p: _c2(p) and not _c2_prime(p),
             lambda q: _a2(q) and not _a2_prime(q),
-            summary="trade the even largest part for a doubled second part plus 1s",
         ),
         Bijection(
             B.B2_EXCHANGE_DB, C.PED_GT1, C.D1, 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
             lambda p: _d2(p) and not _d2_prime(p),
             lambda q: _b2(q) and not _b2_prime(q),
-            summary="push the odd largest part onto the second plus filler 1s",
         ),
         Bijection(
             B.B2_EXCEPTIONAL, C.PED_GT1, C.D1, 0, 0, b2_exceptional_forward, b2_exceptional_inverse,
             lambda p: _c2_prime(p) or _d2_prime(p),
             lambda q: _a2_prime(q) or _b2_prime(q),
-            summary="finite trade between the primed shapes",
         ),
         Bijection(
             B.B5_EXCHANGE, C.POD_GT2, C.O1, 0, 0, b5_exchange_forward, b5_exchange_inverse,
             lambda p: _c5(p) or _d5(p),
             lambda q: _a5(q) or _b5(q),
-            summary="trade the largest part for repeated parts plus filler 2s",
         ),
-        TotalDecomposition(B.B2_TOTAL, C.PED_GT1, C.D2, (0, -3), 1, b2_total_forward, b2_total_inverse,
-                           summary="split PED_GT1(n) across D2(n) and D2(n-3)"),
-        TotalDecomposition(B.B5_TOTAL, C.POD_GT2, C.O2, (0, -3), 5, b5_total_forward, b5_total_inverse,
-                           summary="split POD_GT2(n) across O2(n) and O2(n-3)"),
-    ]
-    by_id = {entry.id: _guard(entry) for entry in entries}
-    return {bid: by_id[bid] for bid in BijectionId}
+    ]}
+    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, raw[B.B2_SHIFT],
+                             (raw[B.B2_EXCHANGE_CA], raw[B.B2_EXCHANGE_DB], raw[B.B2_EXCEPTIONAL]))
+    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, raw[B.B5_SHIFT], (raw[B.B5_EXCHANGE],))
+    return {bid: _guard(raw[bid]) for bid in BijectionId}
 
 
 REGISTRY: dict[BijectionId, Bijection | TotalDecomposition] = _registry()

@@ -56,7 +56,6 @@ class IdentitySpec:
     lhs: tuple[tuple[PartitionClass, int], ...]
     rhs: tuple[PartitionClass, int]
     threshold: int
-    bijection_ids: tuple[BijectionId, ...]
 
     def term_labels(self) -> list[str]:
         return [_term_label(cls, off) for cls, off in self.lhs]
@@ -78,48 +77,36 @@ IDENTITIES: dict[str, IdentitySpec] = {
         ((PartitionClass.D1, 0), (PartitionClass.D1, -1)),
         (PartitionClass.PED, 0),
         1,
-        (BijectionId.B1,),
     ),
     "T2": IdentitySpec(
         "T2",
         ((PartitionClass.D2, 0), (PartitionClass.D2, -3)),
         (PartitionClass.PED_GT1, 0),
         1,
-        (
-            BijectionId.B2_SHIFT,
-            BijectionId.B2_EXCHANGE_CA,
-            BijectionId.B2_EXCHANGE_DB,
-            BijectionId.B2_EXCEPTIONAL,
-            BijectionId.B2_TOTAL,
-        ),
     ),
     "T3": IdentitySpec(
         "T3",
         ((PartitionClass.D3, 2), (PartitionClass.D3, -1)),
         (PartitionClass.PED, 0),
         1,
-        (BijectionId.B3_ADD, BijectionId.B3_SUB),
     ),
     "T4": IdentitySpec(
         "T4",
         ((PartitionClass.O1, 0), (PartitionClass.O1, -1)),
         (PartitionClass.POD, 0),
         2,
-        (BijectionId.B4,),
     ),
     "T5": IdentitySpec(
         "T5",
         ((PartitionClass.O2, 0), (PartitionClass.O2, -3)),
         (PartitionClass.POD_GT2, 0),
         5,
-        (BijectionId.B5_SHIFT, BijectionId.B5_EXCHANGE, BijectionId.B5_TOTAL),
     ),
     "T6": IdentitySpec(
         "T6",
         ((PartitionClass.O3, 2), (PartitionClass.O3, -1)),
         (PartitionClass.POD, 0),
         3,
-        (BijectionId.B6_ADD, BijectionId.B6_SUB),
     ),
 }
 

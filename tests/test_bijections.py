@@ -1,7 +1,9 @@
 """Frozen input/output pairs, domain gating, and exhaustive round trips."""
 
+import hashlib
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -31,8 +33,8 @@ from pedpod.enumeration import all_partitions, class_members
 from pedpod.verification import audit_bijection_range
 
 
-# The mirrored maps exist only as registry entries, and the module-level
-# total recipes are unguarded, so these names reach the guarded entries.
+# The mirrored maps and the totals exist only as registry entries, so these
+# names reach the guarded entries.
 def _directions(name):
     mapping = get_bijection(name)
     return mapping.forward, mapping.inverse
@@ -170,6 +172,7 @@ def test_total_inverse_needs_valid_tag():
         b2_total_inverse(TaggedPreimage(-1, P(1, 1)))
     with pytest.raises(DomainError):
         b5_total_inverse(TaggedPreimage(2, P(2, 2)))
+    assert str(TaggedPreimage(2, P(2, 2))) == "(2,2) @ n+2"
 
 
 def test_total_forward_rejects_outside_domain():
@@ -181,6 +184,19 @@ def test_total_forward_rejects_outside_domain():
         b5_total_forward(P(4))  # weight below 5
     with pytest.raises(DomainError):
         b5_total_forward(P(3, 2))  # contains a 2
+
+
+def test_guards_refuse_the_wrong_input_type():
+    cases = [
+        (b2_total_inverse, P(3, 3)),
+        (b2_total_forward, TaggedPreimage(0, P(3, 3))),
+        (b1_forward, TaggedPreimage(0, P(2))),
+        (b1_forward, (3, 3, 2)),
+        (b1_inverse, [4, 3, 2]),
+    ]
+    for direction, x in cases:
+        with pytest.raises(DomainError, match="is outside the"):
+            direction(x)
 
 
 def test_registry_names_round_trip():
@@ -249,6 +265,58 @@ def test_total_decompositions_fill_buckets_exactly():
                     expected = set()
                 assert buckets[off] == expected, (bid, n, off)
 
+
+# Each total's shift map and exchange pieces, as the paper assembles them.
+TOTAL_PARTS = {
+    BijectionId.B2_TOTAL: (
+        BijectionId.B2_SHIFT,
+        (BijectionId.B2_EXCHANGE_CA, BijectionId.B2_EXCHANGE_DB, BijectionId.B2_EXCEPTIONAL),
+    ),
+    BijectionId.B5_TOTAL: (BijectionId.B5_SHIFT, (BijectionId.B5_EXCHANGE,)),
+}
+
+
+def test_totals_take_their_fields_from_shift_and_pieces():
+    for bid, (shift_id, piece_ids) in TOTAL_PARTS.items():
+        t, shift = REGISTRY[bid], REGISTRY[shift_id]
+        assert t.bucket_class == shift.domain_class, bid
+        assert t.offsets == (0, -shift.weight_shift), bid
+        assert t.min_weight == shift.min_weight, bid
+        for piece_id in piece_ids:
+            assert REGISTRY[piece_id].domain_class == t.domain_class, (bid, piece_id)
+
+
+def test_total_pieces_have_disjoint_shapes():
+    # Disjoint shapes make a total's first-match routing independent of order.
+    for bid, (shift_id, piece_ids) in TOTAL_PARTS.items():
+        t, shift = REGISTRY[bid], REGISTRY[shift_id]
+        pieces = [REGISTRY[piece_id] for piece_id in piece_ids]
+        for n in range(0, 19):
+            domain = class_members(n, t.domain_class).members
+            codomain = class_members(n, t.bucket_class).members + tuple(
+                q for q in class_members(n, shift.codomain_class).members if shift.in_codomain(q)
+            )
+            for a, b in combinations(pieces, 2):
+                assert not any(a.domain_shape(p) and b.domain_shape(p) for p in domain), (a.name, b.name, n)
+                assert not any(a.codomain_shape(q) and b.codomain_shape(q) for q in codomain), (a.name, b.name, n)
+
+
+# sha256 of every "name p offset image" line of both totals over weights
+# 1..18: the exact pairing, not only its bijectivity, is pinned.
+TOTAL_PAIRING_SHA256 = "d5cb2390d44b5b23b5096fd7e15338425ee15502a7718270225c415ffce0c337"
+
+
+def test_total_pairing_is_pinned():
+    lines = []
+    for bid in TOTAL_PARTS:
+        t = REGISTRY[bid]
+        for n in range(1, 19):
+            for p in class_members(n, t.domain_class).members:
+                if t.in_domain(p):
+                    tagged = t.forward(p)
+                    lines.append(f"{t.name} {p.to_text()} {tagged.offset} {tagged.partition.to_text()}")
+    assert len(lines) == 309
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TOTAL_PAIRING_SHA256
 
 
 def _refused(direction, x):
