@@ -110,6 +110,8 @@ class TaggedPreimage:
         return "n" if self.offset == 0 else f"n{self.offset:+d}"
 
     def __str__(self) -> str:
+        if not (isinstance(self.partition, Partition) and type(self.offset) is int):
+            return repr(self)  # an ill-typed preimage, as the guard's refusal quotes it
         return f"{self.partition.to_text()} @ {self.tag_text()}"
 
 
@@ -462,7 +464,9 @@ class TotalDecomposition:
         """A bucket member under a known tag whose identity weight passes the gate."""
         return (
             isinstance(t, TaggedPreimage)
+            and type(t.offset) is int
             and t.offset in self.offsets
+            and isinstance(t.partition, Partition)
             and is_member(t.partition, self.bucket_class)
             and t.partition.weight - t.offset >= self.min_weight
         )

@@ -4,7 +4,8 @@ Three interchangeable back-ends produce the same tables:
 
     ENUM    one walk that visits every partition once (small n only),
     DP      part-by-part dynamic programming over exact Python integers,
-    SERIES  coefficients of truncated products of (1 +- q^k)^(+-1).
+    SERIES  coefficients of eta quotients, products of E(q^a)^(+-1) with
+            E(q) = prod (1 - q^k), from Euler's pentagonal number theorem.
 
 The DP kernel counts partitions with parts confined to [min_part, max_part]
 where one parity is forced distinct (even parts for the ped family, odd
@@ -182,20 +183,19 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
     return {cls: tuple(row) for cls, row in tables.items()}
 
 
-# Each factor family (first, step, sign, inverse) is (1 + sign*q^k)^(-1 if
-# inverse else +1) for k = first, first+step, ...; every term has constant
-# coefficient 1, so truncated division is always well defined.
+# Each class's series as a quotient of Euler's function E(q) = prod_k (1 - q^k):
+# the pairs (a, power) stand for the factors E(q^a)^power, power = +1 or -1.
 _SERIES_FACTORS = {
-    # ped: evens distinct, odds free.
-    PartitionClass.PED: ((2, 2, 1, False), (1, 2, -1, True)),
-    # ped with parts > 1: evens (>= 2) distinct, odds >= 3 free.
-    PartitionClass.PED_GT1: ((2, 2, 1, False), (3, 2, -1, True)),
-    # pod: odds distinct, evens free.
-    PartitionClass.POD: ((1, 2, 1, False), (2, 2, -1, True)),
-    # pod with parts > 2: odds >= 3 distinct, evens >= 4 free.
-    PartitionClass.POD_GT2: ((3, 2, 1, False), (4, 2, -1, True)),
-    # no part divisible by 4: k = 1, 2, 3 mod 4 free.
-    PartitionClass.FOUR_REGULAR: ((1, 4, -1, True), (2, 4, -1, True), (3, 4, -1, True)),
+    # ped: prod (1 + q^2k) / prod (1 - q^(2k-1)) = E(q^4) / E(q).
+    PartitionClass.PED: ((4, 1), (1, -1)),
+    # ped with no part 1: the ped series times (1 - q).
+    PartitionClass.PED_GT1: ((4, 1), (1, -1)),
+    # pod: prod (1 + q^(2k-1)) / prod (1 - q^2k) = E(q^2) / (E(q) E(q^4)).
+    PartitionClass.POD: ((2, 1), (1, -1), (4, -1)),
+    # pod with no part 1 or 2: the pod series times (1 + q)^(-1) (1 - q^2) = 1 - q.
+    PartitionClass.POD_GT2: ((2, 1), (1, -1), (4, -1)),
+    # no part divisible by 4: E(q^4) / E(q), the same series as ped.
+    PartitionClass.FOUR_REGULAR: ((4, 1), (1, -1)),
 }
 # The classes with a product form, which the series back-end can count.
 SERIES_CLASSES = tuple(_SERIES_FACTORS)
@@ -241,22 +241,51 @@ def normalize_backend(backend: str) -> str:
     return tag
 
 
+def _euler_terms(a: int, n_max: int) -> tuple[list[int], list[int]]:
+    """The exponents through n_max of E(q^a)'s nonconstant terms: those of sign +1, those of sign -1.
+
+    By the pentagonal number theorem E(q) = 1 + sum over k >= 1 of
+    (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), so there are O(sqrt(n_max / a))
+    terms.  Both lists are ascending.
+    """
+    plus, minus = [], []
+    k = 1
+    while a * k * (3 * k - 1) // 2 <= n_max:
+        side = minus if k % 2 else plus
+        side += [a * g for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if a * g <= n_max]
+        k += 1
+    return plus, minus
+
+
 def _series_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
-    """Coefficients q^0..q^n_max of the class's product; factors with k > n_max are skipped."""
+    """Coefficients q^0..q^n_max of the class's eta quotient.
+
+    Multiplying by a factor runs the weights downwards, so each coefficient
+    reads the lower ones before they change; dividing runs them upwards and
+    reads the quotient's own lower coefficients, which is exact because every
+    factor has constant term 1.
+    """
     try:
         factors = _SERIES_FACTORS[partition_class]
     except KeyError:
         raise ValueError(f"class {partition_class.value!r} has no product form; use the dp backend") from None
     coeffs = [1] + [0] * n_max
-    for first, step, sign, inverse in factors:
-        for k in range(first, n_max + 1, step):
-            if inverse:
-                for w in range(k, n_max + 1):
-                    coeffs[w] -= sign * coeffs[w - k]
-            else:
-                for w in range(n_max, k - 1, -1):
-                    coeffs[w] += sign * coeffs[w - k]
+    for a, power in factors:
+        plus, minus = _euler_terms(a, n_max)
+        for w in range(n_max, 0, -1) if power == 1 else range(1, n_max + 1):
+            acc = 0  # the sum of sign * coeffs[w - d] over the terms sign * q^d
+            for d in plus:
+                if d > w:
+                    break
+                acc += coeffs[w - d]
+            for d in minus:
+                if d > w:
+                    break
+                acc -= coeffs[w - d]
+            coeffs[w] += acc if power == 1 else -acc
     if partition_class in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
+        for w in range(n_max, 0, -1):  # times 1 - q
+            coeffs[w] -= coeffs[w - 1]
         coeffs[0] = 0  # empty-partition convention, matching the other back-ends
     return tuple(coeffs)
 

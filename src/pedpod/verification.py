@@ -216,18 +216,17 @@ def verify_identity(
     spec = get_identity(identity)
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
-    reach = max(0, *(off for _, off in (*spec.lhs, spec.rhs)))
-    top = n_hi + reach
-    if normalize_backend(backend) == "ENUM" and top > ENUM_CAP:
+    reach_of = {}  # each class's largest offset, at least 0
+    for cls, off in (*spec.lhs, spec.rhs):
+        reach_of[cls] = max(reach_of.get(cls, 0), off)
+    reach = max(reach_of.values())
+    if normalize_backend(backend) == "ENUM" and n_hi + reach > ENUM_CAP:
         raise ValueError(
             f"identity {spec.identity_id} reads counts up to n_hi+{reach}, and the enum "
             f"backend is capped at n_max <= {ENUM_CAP}, so n_hi (--to) must be at most "
             f"{ENUM_CAP - reach}; use dp"
         )
-    tables = {}
-    for cls, _ in (*spec.lhs, spec.rhs):
-        if cls not in tables:
-            tables[cls] = count_table(cls, top, backend).counts
+    tables = {cls: count_table(cls, n_hi + r, backend).counts for cls, r in reach_of.items()}
 
     def term(cls: PartitionClass, n: int, off: int) -> int:
         idx = n + off

@@ -190,6 +190,9 @@ def test_guards_refuse_the_wrong_input_type():
     cases = [
         (b2_total_inverse, P(3, 3)),
         (b2_total_forward, TaggedPreimage(0, P(3, 3))),
+        (b2_total_inverse, TaggedPreimage(0, (3, 3))),  # parts, not a Partition
+        (b2_total_inverse, TaggedPreimage(False, P(5, 5, 1))),  # False is not the offset 0
+        (b5_total_inverse, TaggedPreimage(0.0, P(2, 2, 1))),
         (b1_forward, TaggedPreimage(0, P(2))),
         (b1_forward, (3, 3, 2)),
         (b1_inverse, [4, 3, 2]),

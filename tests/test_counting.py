@@ -55,6 +55,56 @@ def test_series_backend_agrees_where_defined():
         assert count_table(cls, 60, "series").counts == count_table(cls, 60, "dp").counts
 
 
+# The dense product expansion the series back-end used before it read the
+# pentagonal terms of E(q^a), kept as an oracle: each family (first, step,
+# sign, inverse) is (1 + sign*q^k)^(-1 if inverse else +1) for k = first,
+# first+step, ...
+_DENSE_FACTORS = {
+    PartitionClass.PED: ((2, 2, 1, False), (1, 2, -1, True)),
+    PartitionClass.PED_GT1: ((2, 2, 1, False), (3, 2, -1, True)),
+    PartitionClass.POD: ((1, 2, 1, False), (2, 2, -1, True)),
+    PartitionClass.POD_GT2: ((3, 2, 1, False), (4, 2, -1, True)),
+    PartitionClass.FOUR_REGULAR: ((1, 4, -1, True), (2, 4, -1, True), (3, 4, -1, True)),
+}
+
+
+def _dense_series(cls, n_max):
+    coeffs = [1] + [0] * n_max
+    for first, step, sign, inverse in _DENSE_FACTORS[cls]:
+        for k in range(first, n_max + 1, step):
+            if inverse:
+                for w in range(k, n_max + 1):
+                    coeffs[w] -= sign * coeffs[w - k]
+            else:
+                for w in range(n_max, k - 1, -1):
+                    coeffs[w] += sign * coeffs[w - k]
+    if cls in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
+        coeffs[0] = 0
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n_max", [*range(13), 400])
+def test_series_matches_the_dense_product_expansion(n_max):
+    for cls in SERIES_CLASSES:
+        assert counting._series_counts(cls, n_max) == _dense_series(cls, n_max), cls
+
+
+def test_series_matches_dp_at_600(empty_store):
+    for cls in SERIES_CLASSES:
+        assert count_table(cls, 600, "series").counts == count_table(cls, 600, "dp").counts, cls
+
+
+def test_series_builds_without_the_other_backends(empty_store, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the series back-end called another back-end")
+
+    monkeypatch.setattr(counting, "_dp_counts", forbidden)
+    monkeypatch.setattr(counting, "_enum_counts", forbidden)
+    for cls in SERIES_CLASSES:
+        assert len(count_table(cls, 200, "series").counts) == 201
+    assert set(empty_store) == {("SERIES", cls) for cls in SERIES_CLASSES}
+
+
 def test_series_classes_are_the_product_form_classes():
     assert counting.SERIES_CLASSES == SERIES_CLASSES
     for cls in set(PartitionClass) - set(SERIES_CLASSES):

@@ -14,6 +14,7 @@ from pedpod.bijections import (
     thm5_sets,
 )
 from pedpod.core import Partition, PartitionClass
+from pedpod import counting
 from pedpod.counting import count_table
 from pedpod.verification import (
     IDENTITIES,
@@ -292,6 +293,31 @@ def test_cross_check_small():
     assert report.to_csv().splitlines()[0] == "check,n_hi,passed"
     with pytest.raises(ValueError):
         cross_check_counts(-1)
+
+
+def test_cross_check_catches_a_wrong_series_table(monkeypatch):
+    monkeypatch.setattr(counting, "_TABLES", {})
+    monkeypatch.setattr(counting, "_series_counts", lambda cls, n_max: (1,) * (n_max + 1))
+    report = cross_check_counts(30)
+    passed = {r.name: r.passed for r in report.records}
+    assert not report.overall_pass
+    assert [name for name, ok in passed.items() if not ok] == [
+        f"dp_vs_series:{cls.value}" for cls in counting.SERIES_CLASSES
+    ]
+    assert passed["ped_equals_four_regular"]
+
+
+@pytest.mark.parametrize(
+    "identity, rhs_class, shifted_class",
+    [("T3", PartitionClass.PED, PartitionClass.D3), ("T6", PartitionClass.POD, PartitionClass.O3)],
+)
+def test_verify_builds_each_table_only_as_far_as_it_reads(identity, rhs_class, shifted_class, monkeypatch):
+    store = {}
+    monkeypatch.setattr(counting, "_TABLES", store)
+    count_table(rhs_class, 100)
+    assert verify_identity(identity, 0, 100).overall_pass
+    assert len(store[("DP", rhs_class)]) == 101
+    assert len(store[("DP", shifted_class)]) == 103
 
 
 def test_cross_check_serialization():
