@@ -578,7 +578,7 @@ REGISTRY: dict[BijectionId, Bijection | TotalDecomposition] = _registry()
 
 def get_bijection(key: "BijectionId | str") -> "Bijection | TotalDecomposition":
     """Look a map up by BijectionId or by its stable dotted name."""
-    if isinstance(key, str):
+    if not isinstance(key, BijectionId):
         key = BijectionId.from_name(key)
     return REGISTRY[key]
 

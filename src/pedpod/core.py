@@ -18,12 +18,21 @@ is the unique partition of 0.  Twelve classes are recognised:
 
 The empty partition belongs only to the classes whose condition is vacuous
 and does not mention a largest part: all, four_regular, ped, pod.
+
+Each class is defined once, as a `ClassSpec` in `CLASS_SPECS`.  `is_member`,
+the listings in `enumeration` and the DP back-end in `counting` all read it;
+the enum walk and the series back-end keep their own encodings on purpose,
+so that comparing the back-ends checks this table too.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
+
+# The text form: parenthesised, comma-separated positive parts in ASCII digits.
+_TEXT_FORM = re.compile(r"\((0*[1-9][0-9]*(?:,0*[1-9][0-9]*)*)?\)")
 
 
 class Partition(tuple):
@@ -57,17 +66,15 @@ class Partition(tuple):
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse the canonical text form; whitespace is ignored everywhere."""
-        compact = "".join(text.split())
-        if not (compact.startswith("(") and compact.endswith(")")):
+        """Parse the canonical text form; whitespace is ignored everywhere.
+
+        Each part is a nonzero run of ASCII digits, so signs, underscores and
+        other scripts' digits, which `int` would accept, are malformed.
+        """
+        match = _TEXT_FORM.fullmatch("".join(text.split()))
+        if match is None:
             raise ValueError(f"malformed partition text: {text!r}")
-        inner = compact[1:-1]
-        if not inner:
-            return cls()
-        try:
-            return cls(int(tok) for tok in inner.split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed partition text: {text!r}") from exc
+        return cls(map(int, match[1].split(",")) if match[1] else ())
 
     def __repr__(self) -> str:
         return f"Partition{self.to_text()}"
@@ -98,48 +105,67 @@ class PartitionClass(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "PartitionClass":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            known = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown partition class {name!r} (known: {known})") from None
+        key = name.strip().lower() if isinstance(name, str) else None
+        for member in cls:
+            if member.value == key:
+                return member
+        known = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown partition class {name!r} (known: {known})")
 
 
-def _distinct_in_parity(p: Partition, parity: int) -> bool:
-    # Parts are sorted, so a repeat shows up as an adjacent equal pair.
-    return all(not (a == b and a % 2 == parity) for a, b in zip(p, p[1:]))
+class ClassSpec(NamedTuple):
+    """What a class asks of its members; each default asks nothing."""
+
+    distinct: int | None = None  # parity whose parts appear at most once each
+    lowest: int = 1  # the smallest allowed part
+    skip_fours: bool = False  # no part divisible by 4
+    top_parity: int | None = None  # parity the largest part must have
+    top_copies: tuple[int, int | None] = (1, None)  # fewest, most copies of the largest
 
 
-def _is_ped(p: Partition) -> bool:
-    return _distinct_in_parity(p, 0)
-
-
-def _is_pod(p: Partition) -> bool:
-    return _distinct_in_parity(p, 1)
-
-
-def _is_d1(p: Partition) -> bool:
-    return bool(p) and p[0] % 2 == 1 and _is_ped(p)
-
-
-def _is_o1(p: Partition) -> bool:
-    return bool(p) and p[0] % 2 == 0 and _is_pod(p)
-
-
-_PREDICATES = {
-    PartitionClass.ALL: lambda p: True,
-    PartitionClass.FOUR_REGULAR: lambda p: all(x % 4 for x in p),
-    PartitionClass.PED: _is_ped,
-    PartitionClass.PED_GT1: lambda p: bool(p) and p[-1] > 1 and _is_ped(p),
-    PartitionClass.D1: _is_d1,
-    PartitionClass.D2: lambda p: _is_d1(p) and len(p) > 1 and p[1] == p[0],
-    PartitionClass.D3: lambda p: _is_d1(p) and (len(p) == 1 or p[1] < p[0]),
-    PartitionClass.POD: _is_pod,
-    PartitionClass.POD_GT2: lambda p: bool(p) and p[-1] > 2 and _is_pod(p),
-    PartitionClass.O1: _is_o1,
-    PartitionClass.O2: lambda p: _is_o1(p) and len(p) > 1 and p[1] == p[0],
-    PartitionClass.O3: lambda p: _is_o1(p) and (len(p) == 1 or p[1] < p[0]),
+CLASS_SPECS = {
+    PartitionClass.ALL: ClassSpec(),
+    PartitionClass.FOUR_REGULAR: ClassSpec(skip_fours=True),
+    PartitionClass.PED: ClassSpec(0),
+    PartitionClass.PED_GT1: ClassSpec(0, lowest=2),
+    PartitionClass.D1: ClassSpec(0, top_parity=1),
+    PartitionClass.D2: ClassSpec(0, top_parity=1, top_copies=(2, None)),
+    PartitionClass.D3: ClassSpec(0, top_parity=1, top_copies=(1, 1)),
+    PartitionClass.POD: ClassSpec(1),
+    PartitionClass.POD_GT2: ClassSpec(1, lowest=3),
+    PartitionClass.O1: ClassSpec(1, top_parity=0),
+    PartitionClass.O2: ClassSpec(1, top_parity=0, top_copies=(2, None)),
+    PartitionClass.O3: ClassSpec(1, top_parity=0, top_copies=(1, 1)),
 }
+
+
+def _predicate(spec: ClassSpec) -> Callable[[Partition], bool]:
+    """The membership test of a spec: the O(1) checks on the head first, then the scans."""
+    distinct, lowest, skip_fours, top_parity, (fewest, most) = spec
+
+    def member(p: Partition) -> bool:
+        if not p:
+            return lowest == 1 and top_parity is None
+        top = p[0]
+        if (
+            p[-1] < lowest
+            or (top_parity is not None and top % 2 != top_parity)
+            or (fewest > 1 and (len(p) < fewest or p[fewest - 1] != top))
+            or (most is not None and len(p) > most and p[most] == top)
+            or (skip_fours and not all(x % 4 for x in p))
+        ):
+            return False
+        if distinct is not None:
+            # Parts are sorted, so a repeat shows up as an adjacent equal pair.
+            for a, b in zip(p, p[1:]):
+                if a == b and a % 2 == distinct:
+                    return False
+        return True
+
+    return member
+
+
+_PREDICATES = {cls: _predicate(spec) for cls, spec in CLASS_SPECS.items()}
 
 
 def is_member(p: Partition, partition_class: PartitionClass) -> bool:

@@ -7,12 +7,15 @@ Three interchangeable back-ends produce the same tables:
     SERIES  coefficients of eta quotients, products of E(q^a)^(+-1) with
             E(q) = prod (1 - q^k), from Euler's pentagonal number theorem.
 
-The DP kernel counts partitions with parts confined to [min_part, max_part]
-where one parity is forced distinct (even parts for the ped family, odd
-parts for the pod family) or none is (all, and four_regular, which also
-skips multiples of 4).  Classes with an odd/even largest part are summed
-over that largest part on top of the kernel.  All arithmetic is plain
-Python int, so counts never overflow.
+The DP reads each class from `core.CLASS_SPECS`.  Its kernel counts
+partitions with parts from the spec's smallest part up, where one parity is
+forced distinct (even parts for the ped family, odd parts for the pod family)
+or none is (all, and four_regular, which also skips multiples of 4).  Classes
+that pin the parity and copies of the largest part are summed over that
+largest part on top of the kernel.  The enum walk (`_code_members`) and the
+series factors (`_SERIES_FACTORS`) encode the classes on their own, on
+purpose, so comparing the back-ends also checks `CLASS_SPECS`.  All
+arithmetic is plain Python int, so counts never overflow.
 
 Tables are cached as one growing table per (back-end, class).  The count at
 weight n does not depend on how far a table runs, so a request is served as
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PartitionClass
+from .core import CLASS_SPECS, PartitionClass
 
 ENUM_CAP = 50
 
@@ -41,56 +44,32 @@ def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> Non
             row[w] += row[w - part]
 
 
-# Classes counted by the kernel alone: (restricted parity, or None for no
-# distinct parity; smallest part; whether multiples of 4 are skipped).
-_KERNEL_SETUP = {
-    PartitionClass.ALL: (None, 1, False),
-    PartitionClass.FOUR_REGULAR: (None, 1, True),
-    PartitionClass.PED: (0, 1, False),
-    PartitionClass.PED_GT1: (0, 2, False),
-    PartitionClass.POD: (1, 1, False),
-    PartitionClass.POD_GT2: (1, 3, False),
-}
-
-# Classes counted by summing over the largest part: (restricted parity,
-# parity of the largest part, how the largest is pinned).
-_SWEEP_SETUP = {
-    PartitionClass.D1: (0, 1, "at_least_once"),
-    PartitionClass.D2: (0, 1, "at_least_twice"),
-    PartitionClass.D3: (0, 1, "exactly_once"),
-    PartitionClass.O1: (1, 0, "at_least_once"),
-    PartitionClass.O2: (1, 0, "at_least_twice"),
-    PartitionClass.O3: (1, 0, "exactly_once"),
-}
-
-
 def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
+    parity, lowest, skip_fours, top_parity, (fewest, most) = CLASS_SPECS[partition_class]
     top = n_max
-    if partition_class in _KERNEL_SETUP:
-        parity, min_part, skip_fours = _KERNEL_SETUP[partition_class]
-        row = [1] + [0] * top
-        for part in range(min_part, top + 1):
+    row = [1] + [0] * top
+    if top_parity is None:
+        for part in range(lowest, top + 1):
             if not (skip_fours and part % 4 == 0):
                 _apply_part(row, part, parity)
-        if min_part > 1:
+        if lowest > 1:
             row[0] = 0  # the empty partition is not a member of the >1/>2 classes
         return tuple(row)
-    parity, largest_parity, pin = _SWEEP_SETUP[partition_class]
-    row = [1] + [0] * top  # counts with parts <= current part size
+    # Sum over the largest part, whose parity and copies the spec pins (no such
+    # class sets lowest or skip_fours); row counts with parts <= current part size.
     out = [0] * (top + 1)
     for part in range(1, top + 1):
-        if part % 2 != largest_parity:
+        if part % 2 != top_parity:
             _apply_part(row, part, parity)
             continue
-        if pin == "exactly_once":
+        if most == 1:
             # row still counts parts <= part - 1: no further copies of the largest
             for n in range(part, top + 1):
                 out[n] += row[n - part]
             _apply_part(row, part, parity)
         else:
             _apply_part(row, part, parity)
-            copies = 1 if pin == "at_least_once" else 2
-            base = part * copies
+            base = part * fewest
             for n in range(base, top + 1):
                 out[n] += row[n - base]
     return tuple(out)
@@ -318,8 +297,8 @@ def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tup
 
 def count_table(partition_class: PartitionClass, n_max: int, backend: str = "dp") -> CountTable:
     """The 0..n_max count table for a class with the chosen backend."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    if type(n_max) is not int or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative int, got {n_max!r}")
     tag = normalize_backend(backend)
     counts = _stored_counts(partition_class, n_max, tag)
     return CountTable(partition_class, n_max, counts[: n_max + 1], tag)
@@ -327,7 +306,7 @@ def count_table(partition_class: PartitionClass, n_max: int, backend: str = "dp"
 
 def class_count(partition_class: PartitionClass, n: int, backend: str = "dp") -> int:
     """The number of partitions of n in the class."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
     return _stored_counts(partition_class, n, normalize_backend(backend))[n]
 

@@ -2,26 +2,28 @@
 
 partitions_of(n) yields every partition of n in lexicographically decreasing
 order, starting from (n) and ending at (1,...,1).  Listings are generated per
-class: a pruned recursion places one distinct part size at a time, largest
-size and most copies first, and never builds a partition outside the class.
-So a listing costs time in proportion to the class, not to p(n), and comes
-out in the same decreasing order as the filtered stream.  The `all` listing
-is the stream itself.  Generation is for small n; counting at larger n
-belongs to the DP and series back-ends.
+class from its `core.CLASS_SPECS` entry, the one definition of the classes:
+a pruned recursion places one distinct part size at a time, largest size and
+most copies first, and never builds a partition outside the class.  So a
+listing costs time in proportion to the class, not to p(n), and comes out in
+the same decreasing order as the filtered stream; the `all` listing is
+generated the same way and equals the stream.  The stream stays as the
+reference the listings are tested against.  Generation is for small n;
+counting at larger n belongs to the DP and series back-ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .core import Partition, PartitionClass
+from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, lexicographically decreasing from (n)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
     if n == 0:
         yield Partition._unsafe(())
         return
@@ -45,9 +47,9 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 def all_partitions(n: int) -> tuple[Partition, ...]:
     """Materialized form of partitions_of; empty for negative n."""
-    if n < 0:
+    if type(n) is int and n < 0:
         return ()
-    return tuple(partitions_of(n))
+    return tuple(partitions_of(n))  # which refuses an n that is not an int
 
 
 @dataclass(frozen=True)
@@ -75,32 +77,7 @@ class ClassListing:
         }
 
 
-class _ListingSpec(NamedTuple):
-    """What a class asks of its members, as the generator prunes by it."""
-
-    distinct: int | None  # parity whose parts appear at most once each
-    lowest: int = 1  # the smallest allowed part
-    skip_fours: bool = False  # no part divisible by 4
-    top_parity: int | None = None  # parity the largest part must have
-    top_copies: tuple[int, int | None] = (1, None)  # fewest, most copies of the largest
-
-
-_LISTING_SPECS = {
-    PartitionClass.FOUR_REGULAR: _ListingSpec(None, skip_fours=True),
-    PartitionClass.PED: _ListingSpec(0),
-    PartitionClass.PED_GT1: _ListingSpec(0, lowest=2),
-    PartitionClass.D1: _ListingSpec(0, top_parity=1),
-    PartitionClass.D2: _ListingSpec(0, top_parity=1, top_copies=(2, None)),
-    PartitionClass.D3: _ListingSpec(0, top_parity=1, top_copies=(1, 1)),
-    PartitionClass.POD: _ListingSpec(1),
-    PartitionClass.POD_GT2: _ListingSpec(1, lowest=3),
-    PartitionClass.O1: _ListingSpec(1, top_parity=0),
-    PartitionClass.O2: _ListingSpec(1, top_parity=0, top_copies=(2, None)),
-    PartitionClass.O3: _ListingSpec(1, top_parity=0, top_copies=(1, 1)),
-}
-
-
-def _generate_members(n: int, spec: _ListingSpec) -> tuple[Partition, ...]:
+def _generate_members(n: int, spec: ClassSpec) -> tuple[Partition, ...]:
     """The partitions of n >= 0 meeting the spec, in decreasing lex order."""
     distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec
     out: list[Partition] = []
@@ -145,10 +122,6 @@ def _generate_members(n: int, spec: _ListingSpec) -> tuple[Partition, ...]:
 
 def class_members(n: int, partition_class: PartitionClass) -> ClassListing:
     """List the partitions of n lying in a class, in decreasing lex order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if partition_class is PartitionClass.ALL:
-        members = tuple(partitions_of(n))
-    else:
-        members = _generate_members(n, _LISTING_SPECS[partition_class])
-    return ClassListing(n, partition_class, members)
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
+    return ClassListing(n, partition_class, _generate_members(n, CLASS_SPECS[partition_class]))

@@ -114,11 +114,11 @@ IDENTITIES: dict[str, IdentitySpec] = {
 def get_identity(key: "str | IdentitySpec") -> IdentitySpec:
     if isinstance(key, IdentitySpec):
         return key
-    try:
-        return IDENTITIES[key.strip().upper()]
-    except KeyError:
+    spec = IDENTITIES.get(key.strip().upper()) if isinstance(key, str) else None
+    if spec is None:
         known = ", ".join(IDENTITIES)
-        raise ValueError(f"unknown identity {key!r} (known: {known})") from None
+        raise ValueError(f"unknown identity {key!r} (known: {known})")
+    return spec
 
 
 def identity_ids() -> list[str]:
@@ -214,8 +214,8 @@ def verify_identity(
 ) -> IdentityReport:
     """Compare both sides of an identity for every n in [n_lo, n_hi]."""
     spec = get_identity(identity)
-    if n_lo < 0 or n_hi < n_lo:
-        raise ValueError("need 0 <= n_lo <= n_hi")
+    if type(n_lo) is not int or type(n_hi) is not int or n_lo < 0 or n_hi < n_lo:
+        raise ValueError(f"need ints 0 <= n_lo <= n_hi, got {n_lo!r} and {n_hi!r}")
     reach_of = {}  # each class's largest offset, at least 0
     for cls, off in (*spec.lhs, spec.rhs):
         reach_of[cls] = max(reach_of.get(cls, 0), off)
@@ -395,8 +395,8 @@ def audit_bijection(key: "BijectionId | str", n: int) -> AuditReport:
 def audit_bijection_range(key: "BijectionId | str", n_lo: int, n_hi: int) -> AuditReport:
     """Exhaustively audit one map for every identity weight in [n_lo, n_hi]."""
     mapping = get_bijection(key)
-    if n_lo < 0 or n_hi < n_lo:
-        raise ValueError("need 0 <= n_lo <= n_hi")
+    if type(n_lo) is not int or type(n_hi) is not int or n_lo < 0 or n_hi < n_lo:
+        raise ValueError(f"need ints 0 <= n_lo <= n_hi, got {n_lo!r} and {n_hi!r}")
     if n_hi > _AUDIT_WEIGHT_CAP:
         raise ValueError(f"audits list both sides of a map in full; n_hi is capped at {_AUDIT_WEIGHT_CAP}")
     records = _cap_failures([_audit_one(mapping, n) for n in range(n_lo, n_hi + 1)])
@@ -475,8 +475,8 @@ def _compare(name: str, n_hi: int, **tables: tuple[int, ...]) -> CrossCheckRecor
 
 def cross_check_counts(n_max: int) -> CrossCheckReport:
     """Check ENUM=DP, DP=SERIES, and ped=four_regular over 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    if type(n_max) is not int or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative int, got {n_max!r}")
     records = []
     enum_top = min(n_max, _ENUM_CHECK_CAP)
     for cls in PartitionClass:

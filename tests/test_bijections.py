@@ -210,8 +210,9 @@ def test_registry_names_round_trip():
         mapping = get_bijection(name)
         assert mapping.name == name
     assert get_bijection(BijectionId.B1).name == "thm1.add"
-    with pytest.raises(ValueError):
-        get_bijection("thm9.nothing")
+    for bad in ("thm9.nothing", 5, None):
+        with pytest.raises(ValueError, match="unknown bijection"):
+            get_bijection(bad)
 
 
 def test_reconstructed_flags():

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -108,8 +109,11 @@ def test_apply_usage_errors(capsys):
         ["apply", "--bijection", "thm1.add", "--partition", "(3,3)", "--tag", "n"], capsys
     )
     assert code == 2
-    code, _, err = run(["apply", "--bijection", "thm1.add", "--partition", "3,3"], capsys)
-    assert code == 2
+    for bad in ("3,3", "(1_0)", "(+3)", "(\u0663,1)"):
+        code, out, err = run(["apply", "--bijection", "thm1.add", "--partition", bad], capsys)
+        assert code == 2, bad
+        assert out == ""
+        assert err.startswith("error: malformed partition text"), bad
 
 
 def test_verify_example_exit_zero(capsys):
@@ -249,6 +253,70 @@ def test_count_and_list_are_byte_identical_across_runs(capsys):
     first = run(["list", "--class", "ped", "--n", "9"], capsys)
     second = run(["list", "--class", "ped", "--n", "9"], capsys)
     assert first == second
+
+
+# sha256 of stdout for `count --class C --to 60` (dp) and `list --class C --n 12`
+# in table and csv form: the README promises that these bytes do not change.
+_PINNED_DIGESTS = {
+    ("count", "all", "table"): "dee3fd0c490082765f412215bad379f3e5776895a86dd92a6c27a781857c58d9",
+    ("list", "all", "table"): "5f1842e1209d24ca4bf0b52a7a1b93ce56e4e0891a71d701b6e64faeee466e4b",
+    ("count", "all", "csv"): "53060b2475c5ce53e1d88fb4c8fb93b906a44a75cbe046ab11c600038bb8de85",
+    ("list", "all", "csv"): "afb40e37bd7c178cccbe633de12d1e0a975e55d31ac496dafad40580dec23b5d",
+    ("count", "four_regular", "table"): "f4278046b5410e3420c191929614f3720adba725d20731d29e22681e2d5502d2",
+    ("list", "four_regular", "table"): "46941ff8db20971bfd3b4b28e0093281389dc6aa0e170ae78b7427284e870c28",
+    ("count", "four_regular", "csv"): "32a6c6cdceca35a7bf56cf7bf0442e8814b9208bdece3680091b27c0f36a9daf",
+    ("list", "four_regular", "csv"): "901fc670e7b56511e6269dd26cf0b955ba220227bbeb620cef30e9c7bc9d2286",
+    ("count", "ped", "table"): "a512e818ded5a46e08887c501027f43400d9e3e1c2530cbc7c4e11f16cb75945",
+    ("list", "ped", "table"): "bd3fdefc77ebf43a101954f827b559cfaa47ed438a54add66ba0302756a2cbf7",
+    ("count", "ped", "csv"): "32a6c6cdceca35a7bf56cf7bf0442e8814b9208bdece3680091b27c0f36a9daf",
+    ("list", "ped", "csv"): "6fe4ce99161b5f79f561b14384c737d8d9ad0f3fc7d4233f16722bf6517d2884",
+    ("count", "ped_gt1", "table"): "f0719b227abffd04fd6a66e508287b440ecf255fcd88537776325a4fdf9ef37e",
+    ("list", "ped_gt1", "table"): "b5bf0b98d14abcbf55b13d77e9cb71e044f8347bdd91b1a81b08ca35d044c3e5",
+    ("count", "ped_gt1", "csv"): "6a9593beb482a2cc05da34458a1c7d0ce5b83de78a59bf6e28e356f6b1ff2f60",
+    ("list", "ped_gt1", "csv"): "0a3ae8ef2d2afa0dfcbe113d44f69dba5a170f55a878931e683bec4f9af08d0d",
+    ("count", "d1", "table"): "0480aa769e8beda25c41f6f5a857bc38dbc0b944fa658aaf668a851774d2be00",
+    ("list", "d1", "table"): "ad24ecc8e8297be8e15fde77b0d0f637364824806c9ab2f44215b33d5c43b433",
+    ("count", "d1", "csv"): "c44b040c0736e80d63bd350a7c28b969f9c1a107dbe216f9df02a5348b61346e",
+    ("list", "d1", "csv"): "0a402c546a66add46b76f27faba5a2709d06e27e87730b73dd8db634d593cd3b",
+    ("count", "d2", "table"): "a080184b87f969059fb166681aac035d93866e5d84b10629e419ad4e48f1b54e",
+    ("list", "d2", "table"): "bae58c245aba0817eeb589c33c7913420c32f4831fc6632b54c43d5ee7b04276",
+    ("count", "d2", "csv"): "33be1b0081a230018562eec0eafbae497109b6c58463e2591ea5c6196191e6d1",
+    ("list", "d2", "csv"): "1fa7cbb33917079186f1ffd598a3e9c8ae7e8d49a67b5f0ee79dff2c559f802f",
+    ("count", "d3", "table"): "f8551c72d6c4bb4a90aa195f5ccd56271c9b12d1551277b8f2a29554bdd27af1",
+    ("list", "d3", "table"): "1e992889050893170fd7e710afa88fb82d93a36fcaf7489a67748e1b57a16fca",
+    ("count", "d3", "csv"): "7a6ae8c389a46b9ef5e7171aab3a881c1e708f0519be4654d8d4c0746504ae1d",
+    ("list", "d3", "csv"): "0dc22bfeb88a3e9f2bf9e91b010d416ef4e7f5c44cf2a28dd1a87c4b4a3befa7",
+    ("count", "pod", "table"): "1598f3e49f8192c0818c0d24a61f99b6eda1ed5c9e441092cc398012117ecca7",
+    ("list", "pod", "table"): "0039a3e4c1187b701136c0c0a8de2108b8514d5b4744f1b9d3bedead0eaadb1d",
+    ("count", "pod", "csv"): "6e36657fd23e9f677d9cb272ba314c9544ff2d2f158659c3db12a2e07893cec0",
+    ("list", "pod", "csv"): "93a8239c068052b59a313690591e4af6356d29220cf82b9d41bd81f142b29365",
+    ("count", "pod_gt2", "table"): "e1aafa69676b0d8cbdafd937498a31702e9ea8ec0515951b02083dd31064a49b",
+    ("list", "pod_gt2", "table"): "2be576be619688875eeb2049bdaa073a9b8a5ae89ec1a62b4e25906aa89164dc",
+    ("count", "pod_gt2", "csv"): "11d3675d96c62c27e4dc67d7790c8572fbbcfe727a023451fc44825da0b44daa",
+    ("list", "pod_gt2", "csv"): "3eda49e42c1f8568ef6369fb159a6c802494642a641237a1c2ef5a9c54a26a39",
+    ("count", "o1", "table"): "8924c9b43873d26da5faf5bd393f169a1180c07f72534868f42ce6a1e5a24362",
+    ("list", "o1", "table"): "20228b5faa0e1bd1042fba5cb94a5826d434aeb5d31f563e4ec7306a86416d4c",
+    ("count", "o1", "csv"): "a4b28ed02c03e9f7d6e0c7646fd25ed42f0c7031ecb2f0defab10d6931ed4969",
+    ("list", "o1", "csv"): "77d03371a0febc180ce35f29657efa0f514556ff9886606d0d31dd7a753c1afd",
+    ("count", "o2", "table"): "34ac4a16a792b6e3285f136055673e03933372a1b52c7d000c4f166ac034b178",
+    ("list", "o2", "table"): "9920932ba7a0f1f392cf80374659262942cd48347d71af9e5b831b1a13ef7529",
+    ("count", "o2", "csv"): "054401231ee6aa32d878a3f4101f6ab0930c9efc16e4a37fab01d5744338c8b2",
+    ("list", "o2", "csv"): "a03be188c76bb6cd9aa87cf6b9bb73f3f3d89966b7d74825f6070daac79186fe",
+    ("count", "o3", "table"): "5282be4144eea79879e7d7ea3095b9fe85fd290b347d30a531652b81b5022682",
+    ("list", "o3", "table"): "235ef7ed7ac9adae6d8994faaa0cbb09e30f4ba004fbc4c0d01017f3d0e6f9eb",
+    ("count", "o3", "csv"): "af323bea6703fc70847461ffe09f3d56fc94f5bf9fae177d16d0f0a96feee48a",
+    ("list", "o3", "csv"): "e39ed97e86aff4c35b8b8cd806ae8cef647aef61481bf7722a4fe717884dbd57",
+}
+
+
+@pytest.mark.parametrize("cls", [c.value for c in PartitionClass])
+def test_count_and_list_bytes_are_pinned(cls, capsys):
+    for (command, name, fmt), digest in _PINNED_DIGESTS.items():
+        if name == cls:
+            size = ["--to", "60"] if command == "count" else ["--n", "12"]
+            code, out, _ = run([command, "--class", cls, *size, "--format", fmt], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)
 
 
 def test_width_hint_caps_table_lines(monkeypatch, capsys):

@@ -119,7 +119,8 @@ def test_text_round_trip_exhaustive():
 
 
 def test_malformed_text_rejected():
-    for bad in ["", "3,1", "(3,1", "3,1)", "(3,,1)", "(a)", "(0)", "(-2)"]:
+    # int() would read the last three; parts are ASCII digits only.
+    for bad in ["", "3,1", "(3,1", "3,1)", "(3,,1)", "(a)", "(0)", "(-2)", "(+3)", "(1_000)", "(\u0663,1)"]:
         with pytest.raises(ValueError):
             Partition.from_text(bad)
     # Whitespace is stripped everywhere, even inside a number.
@@ -130,6 +131,7 @@ def test_class_names_resolve():
     for cls in PartitionClass:
         assert PartitionClass.from_name(cls.value) is cls
     assert PartitionClass.from_name(" PED ") is PartitionClass.PED
-    with pytest.raises(ValueError):
-        PartitionClass.from_name("unknown")
+    for bad in ("unknown", 5, None, PartitionClass.PED):
+        with pytest.raises(ValueError, match="unknown partition class"):
+            PartitionClass.from_name(bad)
 

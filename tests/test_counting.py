@@ -257,8 +257,8 @@ def test_store_keeps_one_longest_table_per_backend_and_class(empty_store):
 
 def _store_errors():
     return [
-        (lambda: count_table(PartitionClass.PED, -1, "dp"), "n_max must be non-negative"),
-        (lambda: class_count(PartitionClass.POD, -1, "series"), "n must be non-negative"),
+        (lambda: count_table(PartitionClass.PED, -1, "dp"), "n_max must be a non-negative int"),
+        (lambda: class_count(PartitionClass.POD, -1, "series"), "n must be a non-negative int"),
         (lambda: count_table(PartitionClass.PED, 5, "magic"), "unknown backend"),
         (lambda: class_count(PartitionClass.D1, 5, "magic"), "unknown backend"),
         (lambda: count_table(PartitionClass.PED, ENUM_CAP + 1, "enum"), "capped"),

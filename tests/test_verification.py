@@ -14,8 +14,9 @@ from pedpod.bijections import (
     thm5_sets,
 )
 from pedpod.core import Partition, PartitionClass
-from pedpod import counting
-from pedpod.counting import count_table
+from pedpod import core, counting
+from pedpod.counting import class_count, count_table
+from pedpod.enumeration import all_partitions, class_members, partitions_of
 from pedpod.verification import (
     IDENTITIES,
     AuditRecord,
@@ -35,8 +36,9 @@ def test_identity_registry():
     thresholds = {tid: spec.threshold for tid, spec in IDENTITIES.items()}
     assert thresholds == {"T1": 1, "T2": 1, "T3": 1, "T4": 2, "T5": 5, "T6": 3}
     assert get_identity("t1") is IDENTITIES["T1"]
-    with pytest.raises(ValueError):
-        get_identity("T9")
+    for bad in ("T9", 1, None):
+        with pytest.raises(ValueError, match="unknown identity"):
+            get_identity(bad)
 
 
 def test_identity_descriptions():
@@ -305,6 +307,39 @@ def test_cross_check_catches_a_wrong_series_table(monkeypatch):
         f"dp_vs_series:{cls.value}" for cls in counting.SERIES_CLASSES
     ]
     assert passed["ped_equals_four_regular"]
+
+
+def test_cross_check_catches_a_wrong_class_spec(monkeypatch):
+    # The enum walk and the series factors do not read core.CLASS_SPECS, so a
+    # wrong spec shows up as a disagreement with the DP, which does.
+    monkeypatch.setattr(counting, "_TABLES", {})
+    cross_check_counts(30)
+    expected = {key: t for key, t in counting._TABLES.items() if key[0] != "DP"}
+    monkeypatch.setattr(counting, "_TABLES", {})
+    monkeypatch.setitem(core.CLASS_SPECS, PartitionClass.D2, core.CLASS_SPECS[PartitionClass.D1])
+    report = cross_check_counts(30)
+    assert [r.name for r in report.records if not r.passed] == ["enum_vs_dp:d2"]
+    assert {key: t for key, t in counting._TABLES.items() if key[0] != "DP"} == expected
+
+
+@pytest.mark.parametrize("bad", [3.0, True, "3", None])
+def test_weight_arguments_must_be_ints(bad):
+    calls = [
+        lambda: list(partitions_of(bad)),
+        lambda: all_partitions(bad),
+        lambda: class_members(bad, PartitionClass.PED),
+        lambda: count_table(PartitionClass.PED, bad),
+        lambda: class_count(PartitionClass.PED, bad),
+        lambda: verify_identity("T1", 0, bad),
+        lambda: verify_identity("T1", bad, 5),
+        lambda: audit_bijection("thm1.add", bad),
+        lambda: audit_bijection_range("thm1.add", 0, bad),
+        lambda: audit_bijection_range("thm1.add", bad, 5),
+        lambda: cross_check_counts(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\bints?\b"):
+            call()
 
 
 @pytest.mark.parametrize(
