@@ -319,6 +319,92 @@ def test_count_and_list_bytes_are_pinned(cls, capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, fmt)
 
 
+# sha256 of stdout for the report commands (verify, audit, crosscheck and the
+# README's apply examples) in all three formats.
+_PINNED_REPORT_DIGESTS = {
+    ("verify --identity T1 --to 60", "table"): "cc2bcd780f34adf2f989a3627905f2a97f1ef1084c3a3f27c6e83c838bddcc79",
+    ("verify --identity T1 --to 60", "csv"): "669c7ea92c40703d0a58b6951176f820a9a28a4db9eefa1627daaa2180493094",
+    ("verify --identity T1 --to 60", "json"): "37b6b02d3d705fa28f79b4b78d8650f1a9224f1877644745b3d99bc3b1cd2500",
+    ("verify --identity T2 --to 60", "table"): "84d66274c4243d8bb90e836e479f4a81bf73b8578e584c47ccf6965e2cb53baa",
+    ("verify --identity T2 --to 60", "csv"): "d128a9185a939ab379ea1e38914c7874e5437b5803a63b02a9109cfe133fb69f",
+    ("verify --identity T2 --to 60", "json"): "ae637d373bd69f0ea9e29abe1510bf71f04edc2e6ff832bbb84d147a53d027c0",
+    ("verify --identity T3 --to 60", "table"): "19181d8d58e757695b4a12412082416cc8bb31e4998a039e70be9d598052169a",
+    ("verify --identity T3 --to 60", "csv"): "24f398f12c4521851d5cb002d1726fa5f751786825893e2c9a0ffc288df91a67",
+    ("verify --identity T3 --to 60", "json"): "8bc0a39e037b636fa19dccbef4eab223a098519dcfb385206cce1673e820a515",
+    ("verify --identity T4 --to 60", "table"): "5bf32e444065ce65c4aac9dd7150ae6d84ac40a397e27d2a8c1799398dad0eec",
+    ("verify --identity T4 --to 60", "csv"): "e041521945afdc550b44a032a7f18287fe4d0f9ffdf568f007546619e27b6168",
+    ("verify --identity T4 --to 60", "json"): "cdd0ab2017f49630e108a7a83fdfb81ed3fc6826a426bc65117319d71a2da57a",
+    ("verify --identity T5 --to 60", "table"): "05dfdfc611b5bb725ba83caa5909fbd7edec92e12871feb15bf574503084e794",
+    ("verify --identity T5 --to 60", "csv"): "c0b739724ed7a34ae041079d291ef051f786dc6ba4332fb18065aa10b79aa370",
+    ("verify --identity T5 --to 60", "json"): "7c4c609addb02008ee2b452f9385866ff421eb152a952fdb601b764366722540",
+    ("verify --identity T6 --to 60", "table"): "3e608eb17e42abd6136f7b2c281aaacfb23ec430e96b6723a488eb887de3a652",
+    ("verify --identity T6 --to 60", "csv"): "3ac0f0a251e5b96655ec74f4f34acb9948df5ff514fb45b0550dd8fe21bd33d8",
+    ("verify --identity T6 --to 60", "json"): "10427db3243a0ec77928addebf598410a50909e80e2443e5b5f842233b703e31",
+    ("audit --bijection thm1.add --to 12", "table"): "28198cedb8ef8b8c0972f51d11969ac2112cb9f28b264466cfcc5d0134e2c63a",
+    ("audit --bijection thm1.add --to 12", "csv"): "4c370f30f6ef92d14cbcdf1ca0ce53b54d68942664f5b18311bea6c446e02ea7",
+    ("audit --bijection thm1.add --to 12", "json"): "19c843beb9c8d8586fdc7a5b24b84bcef15d4039794d0f275b856ac401021b91",
+    ("audit --bijection thm2.exceptional --to 12", "table"): "448e02ed04249ee997c49f599bc17cc367e4b460313f04025cad36c4357fbc5e",
+    ("audit --bijection thm2.exceptional --to 12", "csv"): "c16be8dff0c118fc3a6d0ed401c0c5d2b96766286e3ec455c5d5b51a5660c4c2",
+    ("audit --bijection thm2.exceptional --to 12", "json"): "dc112232ace40ad0eb3c45c2f5462edc190d1e87c36ea024a4a5c49bd505e4d8",
+    ("audit --bijection thm2.exchange.CA --to 12", "table"): "446df6c6757cc23a5ab81081d2d733e78e3fc7dde2512aefb90d0786f9dd5d05",
+    ("audit --bijection thm2.exchange.CA --to 12", "csv"): "ae8400a24e87a8c39f306e44a274a498ec7d0d32db44cb68fec08fa7108df046",
+    ("audit --bijection thm2.exchange.CA --to 12", "json"): "94342b113b1074bdb5ca380111d41cb830658d7f381b0d567ef258f462d6c83e",
+    ("audit --bijection thm2.exchange.DB --to 12", "table"): "ffdca5cf5934d844e66dd6d7216a40e8ea77260f99a219457c461510df6cf8e4",
+    ("audit --bijection thm2.exchange.DB --to 12", "csv"): "dc524fe8eebdfa1516907a260b187a86e4fca249dcdb142db2b19b1e3806f06b",
+    ("audit --bijection thm2.exchange.DB --to 12", "json"): "6b8df6ca4e54d6d41513f9a0dbf93487e3be90e58a8bf92d7f259600782f3c55",
+    ("audit --bijection thm2.shift --to 12", "table"): "57b336e076bb5d07820d2bfd2e2bf46194e10b44e3dcf102c0ebe06d25b2b40d",
+    ("audit --bijection thm2.shift --to 12", "csv"): "b535869707c3fe4ac45f121881f63ecd1fa04035ef4d4312098413e1528dcdca",
+    ("audit --bijection thm2.shift --to 12", "json"): "5865a99a008fcde0e71a0a92591cde1caaffe12a54bab1622b20bc7ecc43260f",
+    ("audit --bijection thm2.total --to 12", "table"): "8bf412fbf3ff830b0ac30b59b038153c0ae256d367aaf36c16351e89659f38d1",
+    ("audit --bijection thm2.total --to 12", "csv"): "641b1d2d44a31f33473fd0fcd99a8057b0322c7585cd0f1ae21b136f95733e35",
+    ("audit --bijection thm2.total --to 12", "json"): "34a2f267afb8083e2e7ea3b406a851873789960b17b1c84a88e7d6d9146d3a96",
+    ("audit --bijection thm3.add --to 12", "table"): "cea7b7ec400584972c12e7f886f3319f40e978106ca2ff64675b2d062a4ad7e3",
+    ("audit --bijection thm3.add --to 12", "csv"): "ecbabff2c459fe02069db6edad134616553efd62152a39da447bbd441b4a1a49",
+    ("audit --bijection thm3.add --to 12", "json"): "960ce2c58b872bd27ebd7c65a9876152cd4276e94c7609815b2ef873e418feb2",
+    ("audit --bijection thm3.sub --to 12", "table"): "1034c16e75d247c973461d0e1a385d7df8a58a1b5a2e59dbcee5eefa1817db70",
+    ("audit --bijection thm3.sub --to 12", "csv"): "fe2613e0d927f2b8b06ea7ce0e4a5f34929423e3332c74f624739277ab484f31",
+    ("audit --bijection thm3.sub --to 12", "json"): "9ffaac767addd706dabd42b931c3188edf0102b2fe23803b22f6661f22f73c4b",
+    ("audit --bijection thm4.add --to 12", "table"): "6deceb39cbe3de06640b3c5e22e9f2bfb49690fe4310df0fc4b2675f95d5d8bf",
+    ("audit --bijection thm4.add --to 12", "csv"): "15f3542d66c0c98b670bb764d4e5a1884865f4ffe83c80057a6c09be595f10dd",
+    ("audit --bijection thm4.add --to 12", "json"): "1bbe535ce17f0e40ad0ac7bbcdfcbc7edee54ea8f194a2f6322d295fb1364299",
+    ("audit --bijection thm5.exchange --to 12", "table"): "14d2565f6ee9a69cc1081cc69e306f397cf821f20b192277b3662e572655a920",
+    ("audit --bijection thm5.exchange --to 12", "csv"): "108435d64166fe6d99520a269918f79b0da2cb5bc147478ee68f894d602b86da",
+    ("audit --bijection thm5.exchange --to 12", "json"): "98d8e49df06fa16c36e8a3d329c9c99f739b046cc18af04e73ee616028def53b",
+    ("audit --bijection thm5.shift --to 12", "table"): "313de542732a91218f7498b8c6a1790cf6f57cabddf7605ed820525af300a5ef",
+    ("audit --bijection thm5.shift --to 12", "csv"): "9f3f85de85b58b92b5557b14e0df6a7da1dada4ecd350bc8e6efae77274d2499",
+    ("audit --bijection thm5.shift --to 12", "json"): "03da1b0e7280f4f1a0a5ea8348973c43044b4a1d406a52086a39f38c652f1cf3",
+    ("audit --bijection thm5.total --to 12", "table"): "8a72decc75f14d752118a0c9e8135d40f2c801cd216308cebe5d2cd92d07849b",
+    ("audit --bijection thm5.total --to 12", "csv"): "8ad51250026386b441e4ecd1540a2b5393050895540f722baa9f15c325d73995",
+    ("audit --bijection thm5.total --to 12", "json"): "66fbaa7bc2e9b3b3e2a3326b16d58e7293ed0703a62069ed774739c7a8628d27",
+    ("audit --bijection thm6.add --to 12", "table"): "69c630f4e09a7302b402f9507a56bc244faf9c5e966a8ac588179861d149285b",
+    ("audit --bijection thm6.add --to 12", "csv"): "e78a375dec533d4393740c17cfc6b7e4060a47ac212aed3b306bd5d9131e581e",
+    ("audit --bijection thm6.add --to 12", "json"): "f2877255e64b7d826fec6c6305bcc43f97320ad2a183438bc9cfdcae8b9d62a1",
+    ("audit --bijection thm6.sub --to 12", "table"): "57fff85dca5300b3005334879028d0dbe4899e65424ff488a680f086ad60c083",
+    ("audit --bijection thm6.sub --to 12", "csv"): "2650c9f21e928fcefa20a2611cf580acbda0289fbe0c3d87b19ca6f246743ee3",
+    ("audit --bijection thm6.sub --to 12", "json"): "4eff30ac3bccba4777270af4463ca474294cd4bd7667d8bbcd04c44e1c53656a",
+    ("crosscheck --to 100", "table"): "dc0d78a15f0de80106822f5a12be554ef43f6671c77c54a5096967e9e92be338",
+    ("crosscheck --to 100", "csv"): "50a067fa362e7dec618c09c194f316e9374eee82a61e6f02fa0b9ae63a36819b",
+    ("crosscheck --to 100", "json"): "3448e5cd182f7d9febe3c4b1e77eddb9b01fe8e45ec9709db4eca2e365189b92",
+    ("apply --bijection thm1.add --partition (3,3,2)", "table"): "dba33088b81d70b75709175ae9b30dc0df377d161a58de12e8df6e00380712cc",
+    ("apply --bijection thm1.add --partition (3,3,2)", "csv"): "96bd58a1bb5b78de842c6e54ff5ef11c15535f72f00bf288f6d9e896cb5f1183",
+    ("apply --bijection thm1.add --partition (3,3,2)", "json"): "5ce00c30e76be5c724477ec39dc1ab01ae89bb3885a6d1d54ad438b6fa00b8ec",
+    ("apply --bijection thm2.total --partition (6,5)", "table"): "9e6ef6271d0dd98af0f73ad9005f927e30c37eb946909b1c230b7589e693f6f2",
+    ("apply --bijection thm2.total --partition (6,5)", "csv"): "0e01b7266b582889d05ae4b89f2f0850bccbb2f5e50fe51e64e8c1f3c458d98e",
+    ("apply --bijection thm2.total --partition (6,5)", "json"): "19acfeed7e85432fe36aa75cd6520aec5ea6466d7532d3327cf2ffa318f883f9",
+    ("apply --bijection thm2.total --partition (1,1) --inverse --tag n-3", "table"): "9ab538b9d52de28b08a60ec546e26aafa0d1516050da25f0d16d22c84bc75520",
+    ("apply --bijection thm2.total --partition (1,1) --inverse --tag n-3", "csv"): "773703ea1ef66cb8e4e432699c68cd5b48ff8516308fd4be0c52c3284792fdc0",
+    ("apply --bijection thm2.total --partition (1,1) --inverse --tag n-3", "json"): "7ac7abf35e333992ce5317e581a5b2812f264875bcf7cb8ff87a2196d6372d9e",
+}
+
+
+@pytest.mark.parametrize("command", sorted({command for command, _ in _PINNED_REPORT_DIGESTS}))
+def test_report_bytes_are_pinned(command, capsys):
+    for fmt in ("table", "csv", "json"):
+        code, out, _ = run([*command.split(), "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORT_DIGESTS[command, fmt], fmt
+
+
 def test_width_hint_caps_table_lines(monkeypatch, capsys):
     monkeypatch.setenv("PEDPOD_WIDTH", "18")
     code, out, _ = run(["verify", "--identity", "T1", "--to", "8"], capsys)
