@@ -32,7 +32,9 @@ with a 1.  The primed sets are the finitely many special shapes the
 exceptional map trades between.  The thm5 letter sets are the analogues
 inside POD(n) with the roles of the parities swapped and with parts 1 and 2
 acting as the small parts: C and D require every part to be at least 3,
-while A and B require a part 1 or 2.
+while A and B require a part 1 or 2.  So one builder, `_letters`, makes the
+C, D, A, B shapes of both families from the parity of the domain classes'
+largest part and the largest part that counts as small.
 
 Every map describes its two sides the same way: a domain class and a
 codomain class (its envelopes), one `min_weight` gate on the identity
@@ -129,10 +131,6 @@ def _exact(parts: tuple[int, ...]) -> Partition:
     return Partition._unsafe(parts)
 
 
-def _ones(count: int) -> Partition:
-    return Partition._unsafe((1,) * count)
-
-
 # ---------------------------------------------------------------------------
 # The recipes shared by the ped family and its pod mirror.
 
@@ -174,27 +172,33 @@ def _unsub(top: int) -> Callable[[Partition], Partition]:
 
 
 # ---------------------------------------------------------------------------
-# The thm2 letter sets, as shapes read on PED members.
+# The letter sets, as shapes read on PED (thm2) or POD (thm5) members.
 
 
-def _c2(p: Partition) -> bool:
-    """C: even largest part and no part 1."""
-    return bool(p) and p[0] % 2 == 0 and p[-1] != 1
+def _letters(top: int, small: int) -> tuple[Callable[[Partition], bool], ...]:
+    """The shapes C, D, A, B of one family, as the module docstring defines them.
+
+    top is the parity of the domain classes' largest part (1 for ped, 0 for
+    pod), small the largest part that counts as small (1 for thm2, 2 for thm5).
+    """
+
+    def c(p: Partition) -> bool:
+        return bool(p) and p[0] % 2 != top and p[-1] > small
+
+    def d(p: Partition) -> bool:
+        return bool(p) and p[0] % 2 == top and p[-1] > small and (len(p) == 1 or p[1] <= p[0] - 2)
+
+    def a(p: Partition) -> bool:
+        return len(p) > 1 and p[0] % 2 == top and p[1] == p[0] and p[-1] <= small
+
+    def b(p: Partition) -> bool:
+        return len(p) > 1 and p[0] % 2 == top and p[1] == p[0] - 1 and p[-1] <= small
+
+    return c, d, a, b
 
 
-def _d2(p: Partition) -> bool:
-    """D: odd largest part, next part at least 2 below it (or absent), no part 1."""
-    return bool(p) and p[0] % 2 == 1 and p[-1] != 1 and (len(p) == 1 or p[1] <= p[0] - 2)
-
-
-def _a2(p: Partition) -> bool:
-    """A: D2 member (odd largest part, repeated) containing a part 1."""
-    return len(p) > 1 and p[0] % 2 == 1 and p[1] == p[0] and p[-1] == 1
-
-
-def _b2(p: Partition) -> bool:
-    """B: shape (L, L-1, ...) with L odd, containing a part 1."""
-    return len(p) > 1 and p[0] % 2 == 1 and p[1] == p[0] - 1 and p[-1] == 1
+_c2, _d2, _a2, _b2 = _letters(1, 1)
+_c5, _d5, _a5, _b5 = _letters(0, 2)
 
 
 def _c2_prime(p: Partition) -> bool:
@@ -272,7 +276,7 @@ def b2_exchange_db_inverse(q: Partition) -> Partition:
 def b2_exceptional_forward(p: Partition) -> Partition:
     n = p.weight
     if len(p) == 1:
-        return _ones(n)
+        return _exact((1,) * n)
     if p[0] % 2 == 0:  # (n-2, 2)
         return _exact((3, 2) + (1,) * (n - 5))
     # (L, L-2, tail) with L odd
@@ -293,30 +297,6 @@ def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     """Materialize the eight thm2 letter sets at weight n, each a subset of PED(n)."""
     primes = {"C'": _c2_prime, "D'": _d2_prime, "A'": _a2_prime, "B'": _b2_prime}
     return _letter_sets(n, PartitionClass.PED, {"C": _c2, "D": _d2, "A": _a2, "B": _b2, **primes})
-
-
-# ---------------------------------------------------------------------------
-# The thm5 letter sets, as shapes read on POD members.
-
-
-def _c5(p: Partition) -> bool:
-    """C: odd largest part and every part at least 3."""
-    return bool(p) and p[0] % 2 == 1 and p[-1] >= 3
-
-
-def _d5(p: Partition) -> bool:
-    """D: even largest, next part at least 2 below (or absent), every part >= 3."""
-    return bool(p) and p[0] % 2 == 0 and p[-1] >= 3 and (len(p) == 1 or p[1] <= p[0] - 2)
-
-
-def _a5(p: Partition) -> bool:
-    """A: O2 member (even largest part, repeated) whose smallest part is 1 or 2."""
-    return len(p) > 1 and p[0] % 2 == 0 and p[1] == p[0] and p[-1] <= 2
-
-
-def _b5(p: Partition) -> bool:
-    """B: shape (L, L-1, ...) with L even, smallest part 1 or 2."""
-    return len(p) > 1 and p[0] % 2 == 0 and p[1] == p[0] - 1 and p[-1] <= 2
 
 
 def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:

@@ -17,8 +17,8 @@ at most 10000 on every back-end (the enum back-end stops earlier, at 50),
 lines, and `audit --to` is at most 50, where thm3.sub has 31535 members on
 each side.
 Output is deterministic for fixed inputs.  The PEDPOD_WIDTH environment
-variable, when set to a positive integer, caps the line width of table
-output; csv and json output ignore it.
+variable, when set to a positive integer in ASCII digits, caps the line
+width of table output; csv and json output ignore it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .bijections import TaggedPreimage, TotalDecomposition, bijection_names, get_bijection
 from .core import PartitionClass, parse_partition
-from .counting import count_table
+from .counting import BACKENDS, count_table
 from .enumeration import class_members
 from .verification import (
     audit_bijection_range,
@@ -48,7 +48,7 @@ _TAG_OFFSETS = {"n": 0, "n-3": -3}
 
 def _width_hint() -> "int | None":
     raw = os.environ.get("PEDPOD_WIDTH", "").strip()
-    if not raw.isdigit():
+    if not (raw.isascii() and raw.isdigit()):  # isdigit alone admits '²', which int() refuses
         return None
     width = int(raw)
     return width if width > 0 else None
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="print a counting table for one class")
     count.add_argument("--class", dest="cls", required=True, choices=class_names)
     count.add_argument("--to", type=int, required=True, metavar="N")
-    count.add_argument("--backend", choices=("enum", "dp", "series"), default="dp")
+    count.add_argument("--backend", choices=BACKENDS, default="dp")
     _add_format(count)
     count.set_defaults(handler=_cmd_count)
 
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--identity", required=True, choices=identity_ids())
     verify.add_argument("--from", type=int, default=0, metavar="N")
     verify.add_argument("--to", type=int, default=30, metavar="N")
-    verify.add_argument("--backend", choices=("enum", "dp", "series"), default="dp")
+    verify.add_argument("--backend", choices=BACKENDS, default="dp")
     _add_format(verify)
     verify.set_defaults(handler=_cmd_verify)
 

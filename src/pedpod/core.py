@@ -168,6 +168,14 @@ def _predicate(spec: ClassSpec) -> Callable[[Partition], bool]:
 _PREDICATES = {cls: _predicate(spec) for cls, spec in CLASS_SPECS.items()}
 
 
+def _not_a_class(selector: object) -> ValueError:
+    return ValueError(f"expected a PartitionClass, got {selector!r}")
+
+
 def is_member(p: Partition, partition_class: PartitionClass) -> bool:
     """Decide membership of `p` in one of the twelve classes."""
-    return _PREDICATES[partition_class](p)
+    try:
+        member = _PREDICATES[partition_class]
+    except KeyError:
+        raise _not_a_class(partition_class) from None
+    return member(p)

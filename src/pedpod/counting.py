@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CLASS_SPECS, PartitionClass
+from .core import CLASS_SPECS, PartitionClass, _not_a_class
 
+BACKENDS = ("enum", "dp", "series")
+_TAGS = tuple(name.upper() for name in BACKENDS)  # as normalize_backend returns them
 ENUM_CAP = 50
 
 
@@ -189,19 +191,14 @@ class CountTable:
     counts: tuple[int, ...]
     backend: str
 
+    def _grid(self) -> list[list[str]]:
+        return [["n", "count"]] + [[str(n), str(c)] for n, c in enumerate(self.counts)]
+
     def to_csv(self) -> str:
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in enumerate(self.counts))
-        return "\n".join(lines)
+        return "\n".join(",".join(row) for row in self._grid())
 
     def to_table(self) -> str:
-        n_width = max(len("n"), len(str(self.n_max)))
-        c_width = max(len("count"), max(len(str(c)) for c in self.counts))
-        lines = [f"{self.partition_class.value} counts, backend={self.backend}"]
-        lines.append(f"{'n'.rjust(n_width)}  {'count'.rjust(c_width)}")
-        for n, c in enumerate(self.counts):
-            lines.append(f"{str(n).rjust(n_width)}  {str(c).rjust(c_width)}")
-        return "\n".join(lines)
+        return _aligned(f"{self.partition_class.value} counts, backend={self.backend}", self._grid())
 
     def to_obj(self) -> dict:
         return {
@@ -212,11 +209,17 @@ class CountTable:
         }
 
 
+def _aligned(title: str, grid: list[list[str]]) -> str:
+    """A title line over the grid's rows, each column right-justified and two spaces apart."""
+    row_format = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*grid))  # "{:>w1}  {:>w2} ..."
+    return "\n".join([title] + [row_format.format(*row) for row in grid])
+
+
 def normalize_backend(backend: str) -> str:
     """The canonical tag (ENUM, DP or SERIES) for a back-end name."""
-    tag = backend.strip().upper()
-    if tag not in ("ENUM", "DP", "SERIES"):
-        raise ValueError(f"unknown backend {backend!r} (known: enum, dp, series)")
+    tag = backend.strip().upper() if isinstance(backend, str) else None
+    if tag not in _TAGS:
+        raise ValueError(f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})")
     return tag
 
 
@@ -277,14 +280,16 @@ def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tup
     """The stored table for the class, rebuilt to exactly n_max if it is shorter.
 
     The enum cap is checked before the store is read, so errors do not depend
-    on what it holds.  A series request for a class with no product form
-    raises in the build, because the store never holds such an entry.
+    on what it holds.  Neither a non-class selector nor a series class with no
+    product form is ever stored, so both are refused on the way to a build.
     """
     if tag == "ENUM" and n_max > ENUM_CAP:
         raise ValueError(f"enum backend is capped at n_max <= {ENUM_CAP}; use dp")
     key = (tag, partition_class)
     counts = _TABLES.get(key, ())
     if len(counts) <= n_max:
+        if not isinstance(partition_class, PartitionClass):
+            raise _not_a_class(partition_class)
         if tag == "ENUM":
             _TABLES.update(((tag, cls), row) for cls, row in _enum_counts(n_max).items())
         elif tag == "DP":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass
+from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _not_a_class
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -124,4 +124,7 @@ def class_members(n: int, partition_class: PartitionClass) -> ClassListing:
     """List the partitions of n lying in a class, in decreasing lex order."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
-    return ClassListing(n, partition_class, _generate_members(n, CLASS_SPECS[partition_class]))
+    spec = CLASS_SPECS.get(partition_class)
+    if spec is None:
+        raise _not_a_class(partition_class)
+    return ClassListing(n, partition_class, _generate_members(n, spec))

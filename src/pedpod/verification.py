@@ -22,11 +22,15 @@ listed from its class by class_members: a plain map's domain at weight
 n - weight_shift and codomain at n, each filtered by the map's shape, and
 a tagged decomposition's domain and each bucket, tagged with its offset.
 This is exactly the counting argument the identities rest on.
+
+A record's JSON object is its dataclass fields in declaration order, so a
+field added to IdentityRow, AuditRecord or CrossCheckRecord reaches the JSON
+with no further code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .bijections import (
     Bijection,
@@ -37,7 +41,7 @@ from .bijections import (
     get_bijection,
 )
 from .core import Partition, PartitionClass
-from .counting import ENUM_CAP, SERIES_CLASSES, count_table, normalize_backend
+from .counting import ENUM_CAP, SERIES_CLASSES, _aligned, count_table, normalize_backend
 from .enumeration import class_members
 
 _AUDIT_WEIGHT_CAP = 50
@@ -125,6 +129,12 @@ def identity_ids() -> list[str]:
     return list(IDENTITIES)
 
 
+def _plain(record) -> dict:
+    """A record's fields in declaration order, tuples as lists: its JSON object."""
+    obj = {field.name: getattr(record, field.name) for field in fields(record)}
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in obj.items()}
+
+
 # ---------------------------------------------------------------------------
 # Identity verification
 
@@ -165,45 +175,25 @@ class IdentityReport:
             "threshold": self.threshold,
             "backend": self.backend,
             "overall_pass": self.overall_pass,
-            "rows": [
-                {
-                    "n": r.n,
-                    "lhs_values": list(r.lhs_values),
-                    "lhs_total": r.lhs_total,
-                    "rhs_value": r.rhs_value,
-                    "equal": r.equal,
-                    "checked": r.checked,
-                }
-                for r in self.rows
-            ],
+            "rows": [_plain(r) for r in self.rows],
         }
 
-    def to_csv(self) -> str:
+    def _grid(self) -> list[list[str]]:
         head = ["n", *self.term_labels, "lhs", "rhs", "status"]
-        lines = [",".join(head)]
-        for r in self.rows:
-            cells = [str(r.n), *(str(v) for v in r.lhs_values)]
-            cells += [str(r.lhs_total), str(r.rhs_value), r.status()]
-            lines.append(",".join(cells))
-        return "\n".join(lines)
+        return [head] + [
+            [str(r.n), *map(str, r.lhs_values), str(r.lhs_total), str(r.rhs_value), r.status()] for r in self.rows
+        ]
+
+    def to_csv(self) -> str:
+        return "\n".join(",".join(row) for row in self._grid())
 
     def to_table(self) -> str:
         verdict = "PASS" if self.overall_pass else "FAIL"
-        head = ["n", *self.term_labels, "lhs", "rhs", "status"]
-        body = []
-        for r in self.rows:
-            body.append(
-                [str(r.n), *(str(v) for v in r.lhs_values), str(r.lhs_total), str(r.rhs_value), r.status()]
-            )
-        widths = [max(len(row[i]) for row in [head, *body]) for i in range(len(head))]
-        lines = [
+        title = (
             f"identity {self.identity_id}: {self.description}  "
             f"[backend={self.backend}, n={self.n_lo}..{self.n_hi}]  {verdict}"
-        ]
-        lines.append("  ".join(h.rjust(w) for h, w in zip(head, widths)))
-        for row in body:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        )
+        return _aligned(title, self._grid())
 
 
 def verify_identity(
@@ -220,13 +210,14 @@ def verify_identity(
     for cls, off in (*spec.lhs, spec.rhs):
         reach_of[cls] = max(reach_of.get(cls, 0), off)
     reach = max(reach_of.values())
-    if normalize_backend(backend) == "ENUM" and n_hi + reach > ENUM_CAP:
+    tag = normalize_backend(backend)
+    if tag == "ENUM" and n_hi + reach > ENUM_CAP:
         raise ValueError(
             f"identity {spec.identity_id} reads counts up to n_hi+{reach}, and the enum "
             f"backend is capped at n_max <= {ENUM_CAP}, so n_hi (--to) must be at most "
             f"{ENUM_CAP - reach}; use dp"
         )
-    tables = {cls: count_table(cls, n_hi + r, backend).counts for cls, r in reach_of.items()}
+    tables = {cls: count_table(cls, n_hi + r, tag).counts for cls, r in reach_of.items()}
 
     def term(cls: PartitionClass, n: int, off: int) -> int:
         idx = n + off
@@ -248,7 +239,7 @@ def verify_identity(
         n_lo,
         n_hi,
         spec.threshold,
-        backend,
+        tag.lower(),
         tuple(rows),
         overall,
     )
@@ -276,7 +267,6 @@ class AuditReport:
     records: tuple[AuditRecord, ...]
     overall_pass: bool
     reconstructed: bool
-    backend: str = "enum"
 
     def to_obj(self) -> dict:
         return {
@@ -284,19 +274,10 @@ class AuditReport:
             "kind": self.kind,
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
-            "backend": self.backend,
+            "backend": "enum",  # audits always list both sides outright
             "reconstructed": self.reconstructed,
             "overall_pass": self.overall_pass,
-            "records": [
-                {
-                    "n": r.n,
-                    "domain_size": r.domain_size,
-                    "codomain_size": r.codomain_size,
-                    "passed": r.passed,
-                    "failures": list(r.failures),
-                }
-                for r in self.records
-            ],
+            "records": [_plain(r) for r in self.records],
         }
 
     def to_csv(self) -> str:
@@ -377,13 +358,11 @@ def _cap_failures(records: list[AuditRecord]) -> list[AuditRecord]:
     budget = _FAILURE_CAP
     capped = []
     for rec in records:
-        if len(rec.failures) <= budget:
-            budget -= len(rec.failures)
-            capped.append(rec)
-            continue
-        kept = rec.failures[:budget] + (f"... {len(rec.failures) - budget} more suppressed",)
-        budget = 0
-        capped.append(AuditRecord(rec.n, rec.domain_size, rec.codomain_size, rec.passed, kept))
+        over = len(rec.failures) - budget
+        if over > 0:
+            rec = replace(rec, failures=rec.failures[:budget] + (f"... {over} more suppressed",))
+        budget = max(0, -over)
+        capped.append(rec)
     return capped
 
 
@@ -434,15 +413,7 @@ class CrossCheckReport:
         return {
             "n_max": self.n_max,
             "overall_pass": self.overall_pass,
-            "records": [
-                {
-                    "name": r.name,
-                    "n_hi": r.n_hi,
-                    "passed": r.passed,
-                    "mismatches": list(r.mismatches),
-                }
-                for r in self.records
-            ],
+            "records": [_plain(r) for r in self.records],
         }
 
     def to_csv(self) -> str:

@@ -29,7 +29,7 @@ from pedpod.bijections import (
     thm5_sets,
 )
 from pedpod.core import Partition, PartitionClass, is_member
-from pedpod.enumeration import all_partitions, class_members
+from pedpod.enumeration import all_partitions, class_members, partitions_of
 from pedpod.verification import audit_bijection_range
 
 
@@ -389,6 +389,50 @@ def test_thm2_sets_partition_the_letter_families():
         for p in s["C"] | s["D"] | s["A"] | s["B"]:
             assert is_member(p, PartitionClass.PED)
             assert p.weight == n
+
+
+def _ped(p):
+    return all(p.count(x) == 1 for x in set(p) if x % 2 == 0)
+
+
+def _pod(p):
+    return all(p.count(x) == 1 for x in set(p) if x % 2 == 1)
+
+
+# The letter sets from their definitions, L being the largest part.  thm2, in
+# PED: C has L even and no part 1; D has L odd, every other part at most L-2
+# and no part 1; A has L odd and repeated and a part 1; B has the shape
+# (L, L-1, ...) with L odd and a part 1.  The primed sets are the exceptional
+# map's special shapes: C' is (n) and (n-2, 2), D' is (n) and the D members
+# whose second part is L-2, A' is all 1s and the A members with exactly two
+# 1s, and B' is (3, 2, 1, ..., 1) of even weight.  thm5, in POD, swaps the
+# parities and counts parts 1 and 2 as small.
+THM2_LETTERS = {
+    "C": lambda p: _ped(p) and len(p) > 0 and max(p) % 2 == 0 and 1 not in p,
+    "D": lambda p: _ped(p) and len(p) > 0 and max(p) % 2 == 1 and 1 not in p and max(p[1:], default=0) <= max(p) - 2,
+    "A": lambda p: _ped(p) and len(p) > 0 and max(p) % 2 == 1 and p.count(max(p)) >= 2 and 1 in p,
+    "B": lambda p: _ped(p) and len(p) > 1 and max(p) % 2 == 1 and p[1] == max(p) - 1 and 1 in p,
+}
+THM2_LETTERS.update({
+    "C'": lambda p: THM2_LETTERS["C"](p) and (len(p) == 1 or (len(p) == 2 and p[1] == 2)),
+    "D'": lambda p: THM2_LETTERS["D"](p) and (len(p) == 1 or p[1] == max(p) - 2),
+    "A'": lambda p: THM2_LETTERS["A"](p) and (set(p) == {1} or p.count(1) == 2),
+    "B'": lambda p: THM2_LETTERS["B"](p) and max(p) == 3 and sum(p) % 2 == 0,
+})
+THM5_LETTERS = {
+    "C": lambda p: _pod(p) and len(p) > 0 and max(p) % 2 == 1 and min(p) >= 3,
+    "D": lambda p: _pod(p) and len(p) > 0 and max(p) % 2 == 0 and min(p) >= 3 and max(p[1:], default=0) <= max(p) - 2,
+    "A": lambda p: _pod(p) and len(p) > 0 and max(p) % 2 == 0 and p.count(max(p)) >= 2 and min(p) <= 2,
+    "B": lambda p: _pod(p) and len(p) > 1 and max(p) % 2 == 0 and p[1] == max(p) - 1 and min(p) <= 2,
+}
+
+def test_letter_sets_match_their_definitions():
+    for n in range(31):
+        stream = list(partitions_of(n))
+        for sets, letters in ((thm2_sets(n), THM2_LETTERS), (thm5_sets(n), THM5_LETTERS)):
+            assert list(sets) == list(letters)
+            for name, test in letters.items():
+                assert sets[name] == tuple(p for p in stream if test(p)), (n, name)
 
 
 def test_thm5_sets_are_disjoint_and_pod():

@@ -416,10 +416,14 @@ def test_width_hint_caps_table_lines(monkeypatch, capsys):
 
 
 def test_width_hint_ignores_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("PEDPOD_WIDTH", "wide")
-    code, out, _ = run(["list", "--class", "d1", "--n", "4"], capsys)
-    assert code == 0
-    assert out.splitlines() == ["(3,1)", "(1,1,1,1)"]
+    for width in ("wide", "\u00b2", "\u0661\u0668"):  # "²" and Arabic-Indic "18" are not ASCII digits
+        monkeypatch.setenv("PEDPOD_WIDTH", width)
+        code, out, _ = run(["list", "--class", "d1", "--n", "4"], capsys)
+        assert code == 0, width
+        assert out.splitlines() == ["(3,1)", "(1,1,1,1)"]
+        code, out, _ = run(["verify", "--identity", "T1", "--to", "8"], capsys)
+        assert code == 0, width
+        assert max(map(len, out.splitlines())) > 18, width
 
 
 def test_module_entry_point(pedpod_env):

@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from pedpod import counting
-from pedpod.core import PartitionClass, is_member
-from pedpod.counting import ENUM_CAP, CountTable, class_count, count_table
-from pedpod.enumeration import all_partitions
+from pedpod.core import Partition, PartitionClass, is_member
+from pedpod.counting import ENUM_CAP, CountTable, class_count, count_table, normalize_backend
+from pedpod.enumeration import all_partitions, class_members
 
 SERIES_CLASSES = (
     PartitionClass.PED,
@@ -153,8 +153,13 @@ def test_enum_backend_is_capped():
 
 def test_backend_names():
     assert count_table(PartitionClass.PED, 4, "DP").backend == "DP"
-    with pytest.raises(ValueError):
-        count_table(PartitionClass.PED, 4, "magic")
+    assert count_table(PartitionClass.PED, 4, " Dp ").backend == "DP"
+    assert normalize_backend("Series") == "SERIES"
+    for bad in ("magic", None, 1, b"dp"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            count_table(PartitionClass.PED, 4, bad)
+        with pytest.raises(ValueError, match="unknown backend"):
+            class_count(PartitionClass.PED, 4, bad)
 
 
 def test_table_serialization():
@@ -223,6 +228,21 @@ def test_tables_match_a_fresh_interpreter_in_either_order(backend, pedpod_env, m
             monkeypatch.setattr(counting, "_TABLES", {})
             for n in order:
                 assert count_table(cls, n, backend).counts == fresh[n][cls], (cls, order, n)
+
+
+@pytest.mark.parametrize("selector", ["ped", "series", "enum", None, 2])
+def test_a_selector_that_is_not_a_class_is_refused_before_any_build(selector, empty_store):
+    expected = "expected a PartitionClass"
+    with pytest.raises(ValueError, match=expected):
+        is_member(Partition((3, 1)), selector)
+    with pytest.raises(ValueError, match=expected):
+        class_members(3, selector)
+    for backend in BACKEND_CLASSES:
+        with pytest.raises(ValueError, match=expected):
+            count_table(selector, 5, backend)
+        with pytest.raises(ValueError, match=expected):
+            class_count(selector, 5, backend)
+    assert empty_store == {}
 
 
 def test_table_length_matches_the_request(empty_store):

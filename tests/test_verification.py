@@ -100,6 +100,16 @@ def test_verify_argument_errors():
         verify_identity("T1", 5, 4)
     with pytest.raises(ValueError):
         verify_identity("T1", 0, 10, backend="series")  # d1 has no product form
+    for bad in ("magic", None, 1):
+        with pytest.raises(ValueError, match="unknown backend"):
+            verify_identity("T1", 0, 2, bad)
+
+
+def test_verify_reports_the_canonical_backend_name():
+    for given, name in ((" Dp ", "dp"), ("ENUM", "enum"), ("dp", "dp")):
+        report = verify_identity("T1", 0, 2, given)
+        assert report.backend == report.to_obj()["backend"] == name
+        assert f"[backend={name}, n=0..2]" in report.to_table().splitlines()[0]
 
 
 def test_identity_report_serialization():
