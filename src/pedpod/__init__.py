@@ -33,7 +33,6 @@ from .verification import (
     IdentityReport,
     IdentityRow,
     IdentitySpec,
-    audit_bijection,
     audit_bijection_range,
     cross_check_counts,
     get_identity,
@@ -72,7 +71,6 @@ __all__ = [
     "IdentityReport",
     "IdentityRow",
     "IdentitySpec",
-    "audit_bijection",
     "audit_bijection_range",
     "cross_check_counts",
     "get_identity",

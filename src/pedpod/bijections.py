@@ -88,14 +88,6 @@ class BijectionId(Enum):
     B6_ADD = "thm6.add"
     B6_SUB = "thm6.sub"
 
-    @classmethod
-    def from_name(cls, name: str) -> "BijectionId":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown bijection {name!r} (known: {known})")
-
 
 @dataclass(frozen=True)
 class TaggedPreimage:
@@ -215,7 +207,7 @@ def _a2_prime(p: Partition) -> bool:
     """A': the all-ones partition and the A members with exactly two 1s."""
     if not _a2(p):
         return False
-    ones = p.multiplicity(1)
+    ones = p.count(1)
     return ones == len(p) or ones == 2
 
 
@@ -241,7 +233,7 @@ def b2_exchange_ca_forward(p: Partition) -> Partition:
 
 
 def b2_exchange_ca_inverse(q: Partition) -> Partition:
-    ones = q.multiplicity(1)
+    ones = q.count(1)
     body = tuple(q[: len(q) - ones])
     a = q[0]
     if ones % 2 == 1:
@@ -262,7 +254,7 @@ def b2_exchange_db_forward(p: Partition) -> Partition:
 
 
 def b2_exchange_db_inverse(q: Partition) -> Partition:
-    ones = q.multiplicity(1)
+    ones = q.count(1)
     body = tuple(q[: len(q) - ones])
     a = q[0]
     if ones % 2 == 1:
@@ -346,8 +338,8 @@ def b5_exchange_inverse(q: Partition) -> Partition:
     total = q.weight
     if q[0] == 2:  # nothing but filler: the preimage was the singleton (n)
         return _exact((total,))
-    ones = q.multiplicity(1)
-    twos = q.multiplicity(2)
+    ones = q.count(1)
+    twos = q.count(2)
     body = tuple(q[: len(q) - ones - twos])
     a = q[0]
     if q[1] == a:  # A side: even largest repeated, so a part 1 or a filler 2
@@ -558,9 +550,11 @@ REGISTRY: dict[BijectionId, Bijection | TotalDecomposition] = _registry()
 
 def get_bijection(key: "BijectionId | str") -> "Bijection | TotalDecomposition":
     """Look a map up by BijectionId or by its stable dotted name."""
-    if not isinstance(key, BijectionId):
-        key = BijectionId.from_name(key)
-    return REGISTRY[key]
+    try:
+        return REGISTRY[BijectionId(key)]
+    except ValueError:
+        known = ", ".join(m.value for m in BijectionId)
+        raise ValueError(f"unknown bijection {key!r} (known: {known})") from None
 
 
 def bijection_names() -> list[str]:

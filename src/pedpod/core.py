@@ -56,10 +56,6 @@ class Partition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    def multiplicity(self, value: int) -> int:
-        """How many times `value` occurs as a part."""
-        return self.count(value)
-
     def to_text(self) -> str:
         """Render in the canonical text form, e.g. (5,5,4,3) or ()."""
         return "(" + ",".join(str(x) for x in self) + ")"
@@ -69,9 +65,10 @@ class Partition(tuple):
         """Parse the canonical text form; whitespace is ignored everywhere.
 
         Each part is a nonzero run of ASCII digits, so signs, underscores and
-        other scripts' digits, which `int` would accept, are malformed.
+        other scripts' digits, which `int` would accept, are malformed, and so
+        is anything that is not a string.
         """
-        match = _TEXT_FORM.fullmatch("".join(text.split()))
+        match = _TEXT_FORM.fullmatch("".join(text.split())) if isinstance(text, str) else None
         if match is None:
             raise ValueError(f"malformed partition text: {text!r}")
         return cls(map(int, match[1].split(",")) if match[1] else ())
@@ -173,9 +170,9 @@ def _not_a_class(selector: object) -> ValueError:
 
 
 def is_member(p: Partition, partition_class: PartitionClass) -> bool:
-    """Decide membership of `p` in one of the twelve classes."""
+    """Decide membership of `p` in one of the twelve classes; any other iterable is canonicalised first."""
     try:
         member = _PREDICATES[partition_class]
-    except KeyError:
+    except (KeyError, TypeError):
         raise _not_a_class(partition_class) from None
-    return member(p)
+    return member(p if type(p) is Partition else Partition(p))

@@ -286,7 +286,10 @@ def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tup
     if tag == "ENUM" and n_max > ENUM_CAP:
         raise ValueError(f"enum backend is capped at n_max <= {ENUM_CAP}; use dp")
     key = (tag, partition_class)
-    counts = _TABLES.get(key, ())
+    try:
+        counts = _TABLES[key]
+    except (KeyError, TypeError):  # not built yet, or an unhashable selector
+        counts = ()
     if len(counts) <= n_max:
         if not isinstance(partition_class, PartitionClass):
             raise _not_a_class(partition_class)

@@ -60,14 +60,11 @@ class ClassListing:
     partition_class: PartitionClass
     members: tuple[Partition, ...]
 
-    def to_lines(self) -> list[str]:
-        return [p.to_text() for p in self.members]
-
     def to_csv(self) -> str:
         return "\n".join(["n,partition"] + [f'{self.n},"{p.to_text()}"' for p in self.members])
 
     def to_table(self) -> str:
-        return "\n".join(self.to_lines())
+        return "\n".join([p.to_text() for p in self.members])
 
     def to_obj(self) -> dict:
         return {
@@ -124,7 +121,8 @@ def class_members(n: int, partition_class: PartitionClass) -> ClassListing:
     """List the partitions of n lying in a class, in decreasing lex order."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
-    spec = CLASS_SPECS.get(partition_class)
-    if spec is None:
-        raise _not_a_class(partition_class)
+    try:
+        spec = CLASS_SPECS[partition_class]
+    except (KeyError, TypeError):
+        raise _not_a_class(partition_class) from None
     return ClassListing(n, partition_class, _generate_members(n, spec))

@@ -35,7 +35,6 @@ from dataclasses import dataclass, fields, replace
 from .bijections import (
     Bijection,
     BijectionId,
-    DomainError,
     TaggedPreimage,
     TotalDecomposition,
     get_bijection,
@@ -115,9 +114,7 @@ IDENTITIES: dict[str, IdentitySpec] = {
 }
 
 
-def get_identity(key: "str | IdentitySpec") -> IdentitySpec:
-    if isinstance(key, IdentitySpec):
-        return key
+def get_identity(key: str) -> IdentitySpec:
     spec = IDENTITIES.get(key.strip().upper()) if isinstance(key, str) else None
     if spec is None:
         known = ", ".join(IDENTITIES)
@@ -197,7 +194,7 @@ class IdentityReport:
 
 
 def verify_identity(
-    identity: "str | IdentitySpec",
+    identity: str,
     n_lo: int = 0,
     n_hi: int = 30,
     backend: str = "dp",
@@ -308,7 +305,8 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
 
     forward must be total and injective into the codomain at the right weight,
     and inverse must return each codomain member's recorded preimage; together
-    these prove both round trips.
+    these prove both round trips.  Whatever a direction raises, a guard's
+    DomainError or a fault in the recipe, is recorded as that member's failure.
     """
     tagged = isinstance(mapping, TotalDecomposition)
     if n < mapping.min_weight:
@@ -327,7 +325,7 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
     for p in domain:
         try:
             q = mapping.forward(p)
-        except DomainError as exc:
+        except Exception as exc:
             failures.append(f"forward undefined on {p}: {exc}")
             continue
         if tagged and q.partition.weight != n + q.offset:
@@ -346,7 +344,7 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
             continue
         try:
             back = mapping.inverse(q)
-        except DomainError as exc:
+        except Exception as exc:
             failures.append(f"inverse undefined on {q}: {exc}")
             continue
         if back != preimage[q]:
@@ -364,11 +362,6 @@ def _cap_failures(records: list[AuditRecord]) -> list[AuditRecord]:
         budget = max(0, -over)
         capped.append(rec)
     return capped
-
-
-def audit_bijection(key: "BijectionId | str", n: int) -> AuditReport:
-    """Exhaustively audit one map at a single identity weight n."""
-    return audit_bijection_range(key, n, n)
 
 
 def audit_bijection_range(key: "BijectionId | str", n_lo: int, n_hi: int) -> AuditReport:

@@ -215,6 +215,14 @@ def test_registry_names_round_trip():
             get_bijection(bad)
 
 
+def test_unknown_bijection_keys_are_named_in_the_error():
+    known = "(known: thm1.add, thm2.shift, thm2.exchange.CA,"
+    for bad, shown in (("thm9.nothing", "'thm9.nothing'"), ([1], "[1]"), ({}, "{}"), ("THM1.ADD", "'THM1.ADD'")):
+        with pytest.raises(ValueError) as caught:
+            get_bijection(bad)
+        assert str(caught.value).startswith(f"unknown bijection {shown} {known}")
+
+
 def test_reconstructed_flags():
     expected = {
         BijectionId.B4: True,

@@ -185,6 +185,13 @@ def test_unknown_selector_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_verify_offers_only_the_backends_that_can_count_an_identity(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--identity", "T1", "--to", "5", "--backend", "series"])
+    assert info.value.code == 2
+    assert "argument --backend: invalid choice: 'series' (choose from 'enum', 'dp')" in capsys.readouterr().err
+
+
 def test_out_of_range_n_exit_two(capsys):
     code, _, err = run(["count", "--class", "ped", "--to", "-2"], capsys)
     assert code == 2
@@ -225,7 +232,7 @@ def test_verify_and_crosscheck_to_are_capped(capsys):
     over = str(cli.COUNT_TO_CAP + 1)
     for argv, flag in (
         (["verify", "--identity", "T2", "--to", over], "verify --to"),
-        (["verify", "--identity", "T4", "--to", over, "--backend", "series"], "verify --to"),
+        (["verify", "--identity", "T4", "--to", over, "--backend", "enum"], "verify --to"),
         (["crosscheck", "--to", over], "crosscheck --to"),
     ):
         code, out, err = run(argv, capsys)

@@ -99,8 +99,8 @@ def test_partition_rejects_bad_parts():
 def test_weight_and_multiplicity():
     p = Partition((5, 5, 4, 1))
     assert p.weight == 15
-    assert p.multiplicity(5) == 2
-    assert p.multiplicity(3) == 0
+    assert p.count(5) == 2
+    assert p.count(3) == 0
     assert Partition(()).weight == 0
 
 
@@ -125,6 +125,21 @@ def test_malformed_text_rejected():
             Partition.from_text(bad)
     # Whitespace is stripped everywhere, even inside a number.
     assert Partition.from_text("(3 1)") == Partition((31,))
+
+
+def test_text_that_is_not_a_string_is_malformed():
+    for bad in (None, 5, b"(3,1)", ["(3,1)"]):
+        with pytest.raises(ValueError, match="malformed partition text"):
+            parse_partition(bad)
+
+
+def test_is_member_canonicalises_a_plain_tuple():
+    assert not is_member((2, 1, 2), PartitionClass.PED)  # 2 is repeated
+    assert not is_member([1, 2], PartitionClass.D1)  # the largest part, 2, is even
+    assert is_member((1, 3), PartitionClass.D3)
+    for bad in ((0,), (2, -1), (1.0,), (True,)):
+        with pytest.raises(ValueError, match="positive integers"):
+            is_member(bad, PartitionClass.ALL)
 
 
 def test_class_names_resolve():

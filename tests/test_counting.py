@@ -245,6 +245,11 @@ def test_a_selector_that_is_not_a_class_is_refused_before_any_build(selector, em
     assert empty_store == {}
 
 
+@pytest.mark.parametrize("selector", [[1], {}, {PartitionClass.PED}])
+def test_an_unhashable_selector_is_refused_the_same_way(selector, empty_store):
+    test_a_selector_that_is_not_a_class_is_refused_before_any_build(selector, empty_store)
+
+
 def test_table_length_matches_the_request(empty_store):
     for backend, classes in BACKEND_CLASSES.items():
         small, large = SIZES[backend]

@@ -92,7 +92,7 @@ def test_class_members_rejects_negative():
 
 def test_listing_serialization():
     listing = class_members(4, PartitionClass.D1)
-    assert listing.to_lines() == ["(3,1)", "(1,1,1,1)"]
+    assert listing.to_table() == "(3,1)\n(1,1,1,1)"
     assert listing.to_obj() == {
         "n": 4,
         "class": "d1",

@@ -14,7 +14,7 @@ from pedpod.bijections import (
     thm5_sets,
 )
 from pedpod.core import Partition, PartitionClass
-from pedpod import core, counting
+from pedpod import bijections, core, counting
 from pedpod.counting import class_count, count_table
 from pedpod.enumeration import all_partitions, class_members, partitions_of
 from pedpod.verification import (
@@ -22,7 +22,6 @@ from pedpod.verification import (
     AuditRecord,
     _audit_one,
     _cap_failures,
-    audit_bijection,
     audit_bijection_range,
     cross_check_counts,
     get_identity,
@@ -134,7 +133,7 @@ def test_identity_report_serialization():
 
 
 def test_audit_b1_at_5():
-    report = audit_bijection("thm1.add", 5)
+    report = audit_bijection_range("thm1.add", 5, 5)
     assert report.n_lo == report.n_hi == 5
     assert len(report.records) == 1
     rec = report.records[0]
@@ -146,7 +145,7 @@ def test_audit_b1_at_5():
 
 
 def test_audit_b2_shift_at_6():
-    rec = audit_bijection("thm2.shift", 6).records[0]
+    rec = audit_bijection_range("thm2.shift", 6, 6).records[0]
     assert rec.domain_size == 1  # D2(3) = {(1,1,1)}
     assert rec.codomain_size == 1  # {(3,2,1)}
     assert rec.passed
@@ -154,7 +153,7 @@ def test_audit_b2_shift_at_6():
 
 def test_audit_vacuous_at_0():
     for name in ("thm1.add", "thm2.total", "thm5.total", "thm6.sub"):
-        report = audit_bijection(name, 0)
+        report = audit_bijection_range(name, 0, 0)
         assert report.overall_pass
         assert report.records[0].domain_size == 0
 
@@ -173,7 +172,7 @@ def test_audit_range_arguments():
     [("thm4.add", PartitionClass.O1, 49), ("thm6.add", PartitionClass.O3, 49), ("thm6.sub", PartitionClass.O3, 52)],
 )
 def test_reconstructed_maps_pass_at_the_audit_cap(name, domain_class, weight):
-    report = audit_bijection(name, 50)
+    report = audit_bijection_range(name, 50, 50)
     assert report.overall_pass and report.reconstructed
     rec = report.records[0]
     assert rec.domain_size == rec.codomain_size == count_table(domain_class, weight).counts[weight]
@@ -232,6 +231,36 @@ def test_audit_detects_misrouted_total():
     rec = _audit_one(broken, 5)
     assert not rec.passed
     assert any("bucket" in f for f in rec.failures)
+
+
+def _failing_audit(monkeypatch, **recipes):
+    """The audit of thm1.add at n = 6 with the registered map's recipes replaced."""
+    broken = dataclasses.replace(bijections.REGISTRY[BijectionId.B1], **recipes)
+    monkeypatch.setitem(bijections.REGISTRY, BijectionId.B1, broken)
+    report = audit_bijection_range("thm1.add", 6, 6)
+    assert not report.overall_pass
+    return report
+
+
+def test_a_recipe_fault_fails_the_audit_instead_of_raising(monkeypatch):
+    report = _failing_audit(monkeypatch, forward=lambda p: bijections._exact((1,) + tuple(p)))
+    assert "forward undefined on (5): map produced parts out of order: (1, 5)" in report.records[0].failures
+
+
+def test_a_failing_audit_in_every_format(monkeypatch):
+    # thm4.add's guard refuses every member of thm1.add's codomain: their largest part is even.
+    report = _failing_audit(monkeypatch, inverse=get_bijection("thm4.add").inverse)
+    failures = report.records[0].failures
+    assert failures and all(f.startswith("inverse undefined on (") for f in failures)
+    assert "inverse undefined on (6): (6) is outside the codomain of thm4.add" in failures
+    lines = report.to_table().splitlines()
+    assert lines[0] == "audit thm1.add (bijection) n=6..6  FAIL"
+    assert lines[1].endswith(" FAIL")
+    assert lines[2:] == [f"    ! {f}" for f in failures]
+    assert report.to_csv().splitlines()[1:] == ["6,4,4,false"]
+    obj = report.to_obj()
+    assert obj["overall_pass"] is False
+    assert obj["records"][0]["passed"] is False and obj["records"][0]["failures"] == list(failures)
 
 
 def _counted(mapping):
@@ -342,7 +371,6 @@ def test_weight_arguments_must_be_ints(bad):
         lambda: class_count(PartitionClass.PED, bad),
         lambda: verify_identity("T1", 0, bad),
         lambda: verify_identity("T1", bad, 5),
-        lambda: audit_bijection("thm1.add", bad),
         lambda: audit_bijection_range("thm1.add", 0, bad),
         lambda: audit_bijection_range("thm1.add", bad, 5),
         lambda: cross_check_counts(bad),
@@ -363,6 +391,24 @@ def test_verify_builds_each_table_only_as_far_as_it_reads(identity, rhs_class, s
     assert verify_identity(identity, 0, 100).overall_pass
     assert len(store[("DP", rhs_class)]) == 101
     assert len(store[("DP", shifted_class)]) == 103
+
+
+def test_a_failing_cross_check_in_every_format(monkeypatch):
+    monkeypatch.setattr(counting, "_TABLES", {})
+    monkeypatch.setattr(counting, "_series_counts", lambda cls, n_max: (1,) * (n_max + 1))
+    report = cross_check_counts(30)
+    failed = [r for r in report.records if not r.passed]
+    assert failed and all(len(r.mismatches) == 20 for r in failed)  # the first 20 weights that differ
+    lines = report.to_table().splitlines()
+    assert lines[0] == "crosscheck n_max=30  FAIL"
+    ped = lines.index(next(line for line in lines if line.startswith("  dp_vs_series:ped ")))
+    assert lines[ped].endswith(" FAIL")
+    assert lines[ped + 1:ped + 21] == [f"    ! {m}" for m in failed[0].mismatches]
+    assert lines[ped + 1] == "    ! n=2: dp=2 series=1"  # ped(2) counts (2) and (1,1)
+    assert {f"{r.name},30,false" for r in failed} <= set(report.to_csv().splitlines())
+    obj = report.to_obj()
+    assert obj["overall_pass"] is False
+    assert [r["mismatches"] for r in obj["records"] if not r["passed"]] == [list(r.mismatches) for r in failed]
 
 
 def test_cross_check_serialization():
