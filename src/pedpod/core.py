@@ -41,7 +41,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        ordered = sorted(parts, reverse=True)
+        try:
+            ordered = sorted(parts, reverse=True)
+        except TypeError:  # not iterable, or parts that do not compare
+            raise ValueError(f"partition parts must be positive integers, got {parts!r}") from None
         for x in ordered:
             if not isinstance(x, int) or type(x) is bool or x < 1:
                 raise ValueError(f"partition parts must be positive integers, got {x!r}")

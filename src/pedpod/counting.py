@@ -3,19 +3,23 @@
 Three interchangeable back-ends produce the same tables:
 
     ENUM    one walk that visits every partition once (small n only),
-    DP      part-by-part dynamic programming over exact Python integers,
+    DP      dynamic programming over exact Python integers,
     SERIES  coefficients of eta quotients, products of E(q^a)^(+-1) with
             E(q) = prod (1 - q^k), from Euler's pentagonal number theorem.
 
-The DP reads each class from `core.CLASS_SPECS`.  Its kernel counts
-partitions with parts from the spec's smallest part up, where one parity is
-forced distinct (even parts for the ped family, odd parts for the pod family)
-or none is (all, and four_regular, which also skips multiples of 4).  Classes
-that pin the parity and copies of the largest part are summed over that
-largest part on top of the kernel.  The enum walk (`_code_members`) and the
-series factors (`_SERIES_FACTORS`) encode the classes on their own, on
-purpose, so comparing the back-ends also checks `CLASS_SPECS`.  All
-arithmetic is plain Python int, so counts never overflow.
+The DP reads each class from `core.CLASS_SPECS`: one parity forced distinct
+(even parts for the ped family, odd parts for the pod family) or none (all,
+and four_regular, which also skips multiples of 4), and for d1..o3 the parity
+and copies of the largest part.  It splits the parts at s ~ sqrt(2n).  The
+parts >= s are counted by their number j, each j by one recurrence over t + 1
+layers (t = 1 for all, 2 for the parity classes, 4 for four_regular) that
+also pins a largest part >= s; the parts < s are then added one size at a
+time, and a largest part < s is summed over on top.  That costs
+O(t n^2 / s + n s) additions in O(t n) memory, against n^2 / 2 for the
+part-by-part sweep, which is all that runs below n = 60.  The enum walk
+(`_code_members`) and the series factors (`_SERIES_FACTORS`) encode the
+classes on their own, on purpose, so comparing the back-ends also checks
+`CLASS_SPECS`.  All arithmetic is plain Python int, so counts never overflow.
 
 Tables are cached as one growing table per (back-end, class).  The count at
 weight n does not depend on how far a table runs, so a request is served as
@@ -27,12 +31,15 @@ largest n requested.  Back-ends never read each other's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import add, sub
 
-from .core import CLASS_SPECS, PartitionClass, _not_a_class
+from .core import CLASS_SPECS, ClassSpec, PartitionClass, _not_a_class
 
 BACKENDS = ("enum", "dp", "series")
 _TAGS = tuple(name.upper() for name in BACKENDS)  # as normalize_backend returns them
 ENUM_CAP = 50
+_SPLIT_FROM = 60  # below this n_max the DP's part-by-part sweep alone is faster than the split
 
 
 def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> None:
@@ -46,21 +53,69 @@ def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> Non
             row[w] += row[w - part]
 
 
-def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
-    parity, lowest, skip_fours, top_parity, (fewest, most) = CLASS_SPECS[partition_class]
+def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
+    """Counts by weight of the nonempty partitions into parts >= s that meet the spec.
+
+    They are counted by their number j of parts: layers[i][w - s*j] counts
+    those of weight w with j parts >= s + i, i = 0..t.  Taking t from every
+    part maps parts >= s + t onto parts >= s and keeps the spec, as it keeps
+    each part's parity (t = 2) or residue mod 4 (t = 4; t = 1 for all), if s
+    is at least the spec's lowest part (else pod_gt2's 4 would map to 2).
+    Removing one copy of a smallest part c = s + i < s + t leaves j - 1
+    parts >= c, or >= c + 1 if c is a distinct part; only a flat c^j thereby
+    changes its largest part's copies.
+    """
+    parity, _, skip_fours, top_parity, (fewest, most) = spec
+    t = 4 if skip_fours else 1 if parity is None else 2
+
+    def flat(c: int, j: int) -> bool:  # is c repeated j times a member?
+        return (top_parity in (None, c % 2) and fewest <= j and (most is None or j <= most)
+                and (j == 1 or c % 2 != parity))
+
+    total = [0] * (n_max + 1)
+    layers = [[0] * (n_max + 1)] * (t + 1)  # j = 0: the caller counts the empty partition
+    for j in range(1, n_max // s + 1):
+        m = n_max + 1 - s * j
+        steps = []  # steps[i]: the ones whose smallest part is s + i
+        for i, c in enumerate(range(s, s + t)):
+            step = [0] * m
+            if not (skip_fours and c % 4 == 0):
+                step = ([0] * i + layers[i + (c % 2 == parity)])[:m]
+                if i * j < m:  # count c^j if it is a member, not c^(j-1) plus c
+                    step[i * j] += flat(c, j) - (c % 2 != parity and flat(c, j - 1))
+            steps.append(step)
+        low = [sum(col) for col in zip(*steps)]
+        for w in range(t * j, m):
+            low[w] += low[w - t * j]
+        layers = [low]
+        for step in steps[:-1]:
+            layers.append(list(map(sub, layers[-1], step)))
+        layers.append(([0] * t * j + low)[:m])
+        total[s * j:] = map(add, total[s * j:], low)
+    return total
+
+
+def _dp_counts(partition_class: PartitionClass, n_max: int, split: int | None = None) -> tuple[int, ...]:
+    """Parts >= s by `_large_parts`, times parts < s one size at a time; s = n_max + 1 is the sweep alone."""
+    spec = CLASS_SPECS[partition_class]
+    parity, lowest, skip_fours, top_parity, (fewest, most) = spec
+    s = max(lowest, split or (isqrt(2 * n_max) if n_max >= _SPLIT_FROM else n_max + 1))
     top = n_max
-    row = [1] + [0] * top
-    if top_parity is None:
-        for part in range(lowest, top + 1):
+    out = _large_parts(spec, n_max, s)
+    out[0] = int(top_parity is None)  # no large part: a member unless the largest part is pinned
+    if any(out):  # else no large part fits and there is nothing to multiply
+        for part in range(lowest, s):
             if not (skip_fours and part % 4 == 0):
-                _apply_part(row, part, parity)
-        if lowest > 1:
-            row[0] = 0  # the empty partition is not a member of the >1/>2 classes
-        return tuple(row)
-    # Sum over the largest part, whose parity and copies the spec pins (no such
-    # class sets lowest or skip_fours); row counts with parts <= current part size.
-    out = [0] * (top + 1)
-    for part in range(1, top + 1):
+                _apply_part(out, part, parity)
+    if lowest > 1:
+        out[0] = 0  # the empty partition is not a member of the >1/>2 classes
+    if top_parity is None:
+        return tuple(out)
+    # Add those whose largest part is < s, summed over that largest part, whose
+    # parity and copies the spec pins (no such class sets lowest or skip_fours);
+    # row counts with parts <= current part size.
+    row = [1] + [0] * top
+    for part in range(1, s):
         if part % 2 != top_parity:
             _apply_part(row, part, parity)
             continue

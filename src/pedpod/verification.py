@@ -300,13 +300,18 @@ def _listed(n: int, partition_class: PartitionClass) -> tuple[Partition, ...]:
     return class_members(n, partition_class).members if n >= 0 else ()
 
 
+def _is_tagged_partition(t: object) -> bool:
+    return isinstance(t, TaggedPreimage) and type(t.offset) is int and isinstance(t.partition, Partition)
+
+
 def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord:
     """Audit a map at identity weight n, calling each direction once per member.
 
     forward must be total and injective into the codomain at the right weight,
     and inverse must return each codomain member's recorded preimage; together
     these prove both round trips.  Whatever a direction raises, a guard's
-    DomainError or a fault in the recipe, is recorded as that member's failure.
+    DomainError or a fault in the recipe, is recorded as that member's failure,
+    and so is a result that is not a (tagged) partition.
     """
     tagged = isinstance(mapping, TotalDecomposition)
     if n < mapping.min_weight:
@@ -328,6 +333,9 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
         except Exception as exc:
             failures.append(f"forward undefined on {p}: {exc}")
             continue
+        if not (_is_tagged_partition(q) if tagged else isinstance(q, Partition)):
+            failures.append(f"{p} -> {q!r} is not a {'tagged partition' if tagged else 'partition'}")
+            continue
         if tagged and q.partition.weight != n + q.offset:
             failures.append(f"{p} -> {q} has weight {q.partition.weight}, bucket expects {n + q.offset}")
         elif not tagged and q.weight != n:
@@ -347,7 +355,9 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
         except Exception as exc:
             failures.append(f"inverse undefined on {q}: {exc}")
             continue
-        if back != preimage[q]:
+        if not isinstance(back, Partition):
+            failures.append(f"{q} -> {back!r} is not a partition")
+        elif back != preimage[q]:
             failures.append(f"round trip failed: {preimage[q]} -> {q} -> {back}")
     return AuditRecord(n, len(domain), len(codomain), not failures, tuple(failures))
 

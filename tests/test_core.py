@@ -137,9 +137,12 @@ def test_is_member_canonicalises_a_plain_tuple():
     assert not is_member((2, 1, 2), PartitionClass.PED)  # 2 is repeated
     assert not is_member([1, 2], PartitionClass.D1)  # the largest part, 2, is even
     assert is_member((1, 3), PartitionClass.D3)
-    for bad in ((0,), (2, -1), (1.0,), (True,)):
-        with pytest.raises(ValueError, match="positive integers"):
-            is_member(bad, PartitionClass.ALL)
+    # Not an iterable of parts at all, or parts that do not compare, get the same error.
+    for bad in ((0,), (2, -1), (1.0,), (True,), 5, None, 2.5, [1, "a"], [None, 1]):
+        with pytest.raises(ValueError, match="partition parts must be positive integers"):
+            is_member(bad, PartitionClass.PED)
+        with pytest.raises(ValueError, match="partition parts must be positive integers"):
+            Partition(bad)
 
 
 def test_class_names_resolve():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from pedpod import counting
-from pedpod.core import Partition, PartitionClass, is_member
+from pedpod.core import CLASS_SPECS, Partition, PartitionClass, is_member
 from pedpod.counting import ENUM_CAP, CountTable, class_count, count_table, normalize_backend
 from pedpod.enumeration import all_partitions, class_members
 
@@ -117,6 +117,70 @@ def test_series_backend_rejects_non_product_classes():
         count_table(PartitionClass.D1, 10, "series")
     with pytest.raises(ValueError):
         count_table(PartitionClass.O3, 10, "series")
+
+
+# The part-by-part sweep the DP back-end ran before it counted the parts
+# >= sqrt(2n) by their number, kept as an oracle.
+def _dense_apply_part(row, part, restricted_parity):
+    if part % 2 == restricted_parity:
+        for w in range(len(row) - 1, part - 1, -1):  # at most one copy
+            row[w] += row[w - part]
+    else:
+        for w in range(part, len(row)):
+            row[w] += row[w - part]
+
+
+def _dense_dp(cls, n_max):
+    parity, lowest, skip_fours, top_parity, (fewest, most) = CLASS_SPECS[cls]
+    row = [1] + [0] * n_max
+    if top_parity is None:
+        for part in range(lowest, n_max + 1):
+            if not (skip_fours and part % 4 == 0):
+                _dense_apply_part(row, part, parity)
+        if lowest > 1:
+            row[0] = 0
+        return tuple(row)
+    out = [0] * (n_max + 1)  # summed over the largest part
+    for part in range(1, n_max + 1):
+        if part % 2 != top_parity:
+            _dense_apply_part(row, part, parity)
+        elif most == 1:
+            for n in range(part, n_max + 1):
+                out[n] += row[n - part]
+            _dense_apply_part(row, part, parity)
+        else:
+            _dense_apply_part(row, part, parity)
+            for n in range(part * fewest, n_max + 1):
+                out[n] += row[n - part * fewest]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("split", range(2, 7))
+def test_dp_matches_the_dense_sweep_at_every_split_and_size(split):
+    # Small splits run every path of the large-part recurrence: t = 1, 2 and
+    # 4, a split below the smallest part of ped_gt1 and pod_gt2 (clamped), and
+    # flat partitions c^j in and out of each class.
+    for cls in PartitionClass:
+        dense = _dense_dp(cls, 200)
+        for n_max in range(201):
+            assert counting._dp_counts(cls, n_max, split) == dense[: n_max + 1], (cls, n_max)
+
+
+def test_dp_matches_the_dense_sweep_at_1000():
+    for cls in PartitionClass:
+        assert counting._dp_counts(cls, 1000) == _dense_dp(cls, 1000), cls
+
+
+def test_dp_builds_without_the_other_backends(empty_store, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the dp back-end called another back-end")
+
+    for name in ("_series_counts", "_euler_terms", "_enum_counts"):
+        monkeypatch.setattr(counting, name, forbidden)
+    for n_max in (counting._SPLIT_FROM - 1, 300):
+        for cls in PartitionClass:
+            assert len(count_table(cls, n_max, "dp").counts) == n_max + 1
+    assert set(empty_store) == {("DP", cls) for cls in PartitionClass}
 
 
 def test_dp_matches_direct_enumeration_with_membership():
