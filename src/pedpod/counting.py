@@ -10,16 +10,11 @@ Three interchangeable back-ends produce the same tables:
 The DP reads each class from `core.CLASS_SPECS`: one parity forced distinct
 (even parts for the ped family, odd parts for the pod family) or none (all,
 and four_regular, which also skips multiples of 4), and for d1..o3 the parity
-and copies of the largest part.  It splits the parts at s ~ sqrt(2n).  The
-parts >= s are counted by their number j, each j by one recurrence over t + 1
-layers (t = 1 for all, 2 for the parity classes, 4 for four_regular) that
-also pins a largest part >= s; the parts < s are then added one size at a
-time, and a largest part < s is summed over on top.  That costs
-O(t n^2 / s + n s) additions in O(t n) memory, against n^2 / 2 for the
-part-by-part sweep, which is all that runs below n = 60.  The enum walk
-(`_code_members`) and the series factors (`_SERIES_FACTORS`) encode the
-classes on their own, on purpose, so comparing the back-ends also checks
-`CLASS_SPECS`.  All arithmetic is plain Python int, so counts never overflow.
+and copies of the largest part.  It splits the parts at s ~ sqrt(2n), as
+`_large_parts` describes.  The enum walk (`_code_members`) and the series
+factors (`_SERIES_FACTORS`) encode the classes on their own, on purpose, so
+comparing the back-ends also checks `CLASS_SPECS`.  All arithmetic is plain
+Python int, so counts never overflow.
 
 Tables are cached as one growing table per (back-end, class).  The count at
 weight n does not depend on how far a table runs, so a request is served as
@@ -39,7 +34,6 @@ from .core import CLASS_SPECS, ClassSpec, PartitionClass, _not_a_class
 BACKENDS = ("enum", "dp", "series")
 _TAGS = tuple(name.upper() for name in BACKENDS)  # as normalize_backend returns them
 ENUM_CAP = 50
-_SPLIT_FROM = 60  # below this n_max the DP's part-by-part sweep alone is faster than the split
 
 
 def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> None:
@@ -55,6 +49,10 @@ def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> Non
 
 def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
     """Counts by weight of the nonempty partitions into parts >= s that meet the spec.
+
+    The DP counts these here, multiplies in the parts < s one size at a time
+    and, for d1..o3, sums over a largest part < s on top: O(t n^2 / s + n s)
+    additions in O(t n) memory, against n^2 / 2 for a part-by-part sweep.
 
     They are counted by their number j of parts: layers[i][w - s*j] counts
     those of weight w with j parts >= s + i, i = 0..t.  Taking t from every
@@ -96,17 +94,16 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
 
 
 def _dp_counts(partition_class: PartitionClass, n_max: int, split: int | None = None) -> tuple[int, ...]:
-    """Parts >= s by `_large_parts`, times parts < s one size at a time; s = n_max + 1 is the sweep alone."""
+    """Parts >= s by `_large_parts`, times parts < s one size at a time."""
     spec = CLASS_SPECS[partition_class]
     parity, lowest, skip_fours, top_parity, (fewest, most) = spec
-    s = max(lowest, split or (isqrt(2 * n_max) if n_max >= _SPLIT_FROM else n_max + 1))
+    s = max(lowest, split or isqrt(2 * n_max))
     top = n_max
     out = _large_parts(spec, n_max, s)
     out[0] = int(top_parity is None)  # no large part: a member unless the largest part is pinned
-    if any(out):  # else no large part fits and there is nothing to multiply
-        for part in range(lowest, s):
-            if not (skip_fours and part % 4 == 0):
-                _apply_part(out, part, parity)
+    for part in range(lowest, s):
+        if not (skip_fours and part % 4 == 0):
+            _apply_part(out, part, parity)
     if lowest > 1:
         out[0] = 0  # the empty partition is not a member of the >1/>2 classes
     if top_parity is None:
