@@ -41,7 +41,10 @@ codomain class (its envelopes), one `min_weight` gate on the identity
 weight, and for a plain map a shape read only on the envelope's members.
 `in_domain`/`in_codomain` are envelope and gate and shape, and one guard,
 `_guard`, puts every registered forward and inverse behind them; outside
-them it raises DomainError.
+them it raises DomainError.  An envelope is the narrowest class that holds
+its shape, because audits list it whole: the images of thm2.shift and
+thm5.shift and the set B of thm2.exchange.DB have a single largest part,
+so their codomain classes are D3, O3 and D3.
 
 `_total` assembles thm2.total and thm5.total from their identity's
 unguarded plain maps: the exchange pieces' shapes route a domain member
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import ge
 from typing import Callable
 
 from .core import Partition, PartitionClass, is_member
@@ -116,7 +120,7 @@ def _exact(parts: tuple[int, ...]) -> Partition:
     table produced parts out of order, which would mean the map recipe and
     not just the bookkeeping is wrong.
     """
-    if not all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
+    if not all(map(ge, parts, parts[1:])):
         raise RuntimeError(f"map produced parts out of order: {parts}")
     if parts and parts[-1] < 1:
         raise RuntimeError(f"map produced a non-positive part: {parts}")
@@ -468,18 +472,20 @@ def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bije
 
     top is the parity of every domain member's largest part (odd for D1-D3,
     even for O1-O3), domains the three domain classes, and gates each map's
-    min_weight, the least identity weight of its codomain.
+    min_weight, the least identity weight of its codomain.  The shift's
+    codomain shape (L, L-1, ...) has a single largest part of parity top, so
+    its envelope is the third domain class (D3/O3), not the whole family.
     """
     d1, d2, d3 = domains
     maps = (
-        (1, d1, lambda q: q[0] % 2 != top, _raise_top, _lower_top),
-        (3, d2, lambda q: len(q) > 1 and q[0] % 2 == top and q[1] == q[0] - 1, _shift_up, _shift_down),
-        (1, d3, lambda q: q[0] % 2 != top and (len(q) == 1 or q[1] <= q[0] - 2), _raise_top, _lower_top),
-        (-2, d3, lambda q: q[0] % 2 == top or (len(q) > 1 and q[1] == q[0] - 1), _sub, _unsub(top)),
+        (1, d1, family, lambda q: q[0] % 2 != top, _raise_top, _lower_top),
+        (3, d2, d3, lambda q: len(q) > 1 and q[0] % 2 == top and q[1] == q[0] - 1, _shift_up, _shift_down),
+        (1, d3, family, lambda q: q[0] % 2 != top and (len(q) == 1 or q[1] <= q[0] - 2), _raise_top, _lower_top),
+        (-2, d3, family, lambda q: q[0] % 2 == top or (len(q) > 1 and q[1] == q[0] - 1), _sub, _unsub(top)),
     )
     return [
-        Bijection(bid, domain, family, shift, gate, forward, inverse, codomain_shape=shape, reconstructed=flag)
-        for bid, gate, flag, (shift, domain, shape, forward, inverse) in zip(ids, gates, reconstructed, maps)
+        Bijection(bid, domain, codomain, shift, gate, forward, inverse, codomain_shape=shape, reconstructed=flag)
+        for bid, gate, flag, (shift, domain, codomain, shape, forward, inverse) in zip(ids, gates, reconstructed, maps)
     ]
 
 
@@ -523,8 +529,8 @@ def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
             lambda p: _c2(p) and not _c2_prime(p),
             lambda q: _a2(q) and not _a2_prime(q),
         ),
-        Bijection(
-            B.B2_EXCHANGE_DB, C.PED_GT1, C.D1, 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
+        Bijection(  # B's shape (L, L-1, ...) has a single largest part, so it lies in D3
+            B.B2_EXCHANGE_DB, C.PED_GT1, C.D3, 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
             lambda p: _d2(p) and not _d2_prime(p),
             lambda q: _b2(q) and not _b2_prime(q),
         ),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 # The text form: parenthesised, comma-separated positive parts in ASCII digits.
@@ -48,11 +49,6 @@ class Partition(tuple):
         for x in ordered:
             if not isinstance(x, int) or type(x) is bool or x < 1:
                 raise ValueError(f"partition parts must be positive integers, got {x!r}")
-        return tuple.__new__(cls, ordered)
-
-    @classmethod
-    def _unsafe(cls, ordered: tuple[int, ...]) -> "Partition":
-        """Wrap a tuple the caller guarantees is already canonical."""
         return tuple.__new__(cls, ordered)
 
     @property
@@ -81,6 +77,11 @@ class Partition(tuple):
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+# Wrap parts the caller guarantees are already canonical, at C speed: the hot
+# generators call this once per partition they yield.
+Partition._unsafe = partial(tuple.__new__, Partition)
 
 
 def parse_partition(text: str) -> Partition:

@@ -1,12 +1,22 @@
 """Exhaustive generation of partitions and of class member listings.
 
 partitions_of(n) yields every partition of n in lexicographically decreasing
-order, starting from (n) and ending at (1,...,1).  Listings are generated per
-class from its `core.CLASS_SPECS` entry, the one definition of the classes:
-a pruned recursion places one distinct part size at a time, largest size and
-most copies first, and never builds a partition outside the class.  So a
-listing costs time in proportion to the class, not to p(n), and comes out in
-the same decreasing order as the filtered stream; the `all` listing is
+order, starting from (n) and ending at (1,...,1).  It is the ZS1 algorithm
+(Zoghbi and Stojmenović, "Fast algorithms for generating integer
+partitions", Int. J. Comput. Math. 70, 1998; cf. Knuth, TAOCP 7.2.1.4),
+which keeps the index of the last part greater than 1, so a step never
+rescans the trailing 1s and the stream runs in constant amortized time per
+partition.
+
+Listings are generated per class from its `core.CLASS_SPECS` entry, the one
+definition of the classes: one pruned recursion, fill(prefix, rest,
+largest), passes the parts placed so far down as a tuple and places one
+distinct part size at a time, largest size and most copies first, so it
+never builds a partition outside the class.  The smallest allowed part can
+only end a member, so its copies are appended in one step from a table of
+the tails it can make, and a rest that only it can make costs no call.  A
+listing costs time in proportion to the class, not to p(n), and comes out
+in the same decreasing order as the filtered stream; the `all` listing is
 generated the same way and equals the stream.  The stream stays as the
 reference the listings are tested against.  Generation is for small n;
 counting at larger n belongs to the DP and series back-ends.
@@ -24,25 +34,35 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, lexicographically decreasing from (n)."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
+    wrap = Partition._unsafe
     if n == 0:
-        yield Partition._unsafe(())
+        yield wrap(())
         return
-    parts = [n]
-    while True:
-        yield Partition._unsafe(tuple(parts))
-        # Find the rightmost part greater than 1; everything after it is 1s.
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        parts[i] -= 1
-        spare = len(parts) - i  # the dropped 1s plus the decremented unit
-        del parts[i + 1:]
-        while spare:
-            chunk = min(parts[-1], spare)
-            parts.append(chunk)
-            spare -= chunk
+    # ZS1: x[:m] is the current partition, x[h] its last part > 1, and every
+    # entry after h is 1, so a step never rescans the trailing 1s.
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield wrap(x[:1])
+    while x[0] != 1:
+        if x[h] == 2:  # (..., 2, 1, ..., 1) -> (..., 1, 1, 1, ..., 1)
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # Lower x[h] to r and spread the freed weight t over copies of r.
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 if t == 0 else h + 2
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield wrap(x[:m])
 
 
 def all_partitions(n: int) -> tuple[Partition, ...]:
@@ -78,42 +98,43 @@ def _generate_members(n: int, spec: ClassSpec) -> tuple[Partition, ...]:
     """The partitions of n >= 0 meeting the spec, in decreasing lex order."""
     distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec
     out: list[Partition] = []
-    parts: list[int] = []
-    wrap = Partition._unsafe
+    emit, wrap = out.append, Partition._unsafe
+    # The smallest allowed part can only finish a member, so it is placed
+    # directly: tails maps each weight that copies of it may make to those copies.
+    most_lowest = 1 if lowest % 2 == distinct else n // lowest
+    tails = {k * lowest: (lowest,) * k for k in range(most_lowest + 1)}
 
-    def place(v: int, rest: int, fewest: int, most: int | None) -> None:
-        # Copies of v from the most down to the fewest, each followed by every
-        # completion of what is left from parts below v.
-        top = 1 if v % 2 == distinct else rest // v
-        if most is not None:
-            top = min(top, most)
-        for m in range(top, fewest - 1, -1):
-            left = rest - m * v
-            parts.extend((v,) * m)
-            if not left:
-                out.append(wrap(tuple(parts)))
-            elif v > lowest:
-                fill(left, v - 1)
-            del parts[-m:]
-
-    def fill(rest: int, largest: int) -> None:
-        # Every way to make rest from parts <= largest; the smallest allowed
-        # part can only finish the partition, so it is placed last, directly.
+    def fill(prefix: tuple[int, ...], rest: int, largest: int) -> None:
+        # Every completion of prefix making rest from parts <= largest: each
+        # part size v above lowest, most copies first, then what is left from
+        # parts below v; a rest that only the lowest part can make is a tail.
         for v in range(min(largest, rest), lowest, -1):
-            if not (skip_fours and v % 4 == 0):
-                place(v, rest, 1, None)
-        copies, extra = divmod(rest, lowest)
-        if not extra and (copies == 1 or lowest % 2 != distinct):
-            out.append(wrap(tuple(parts) + (lowest,) * copies))
+            if skip_fours and v % 4 == 0:
+                continue
+            for copies in range(1 if v % 2 == distinct else rest // v, 0, -1):
+                left = rest - copies * v
+                if left and v - 1 > lowest:
+                    fill(prefix + (v,) * copies, left, v - 1)
+                elif left in tails:
+                    emit(wrap(prefix + (v,) * copies + tails[left]))
+        if rest in tails:
+            emit(wrap(prefix + tails[rest]))
 
     if n == 0:
         if top_parity is None and lowest == 1:
-            out.append(wrap(()))
+            emit(wrap(()))
     elif top_parity is None:
-        fill(n, n)
+        fill((), n, n)
     else:
+        # The largest part v has the top parity and fewest_top..most_top copies.
         for v in range(n if n % 2 == top_parity else n - 1, 0, -2):
-            place(v, n, fewest_top, most_top)
+            most = 1 if v % 2 == distinct else n // v
+            for copies in range(most if most_top is None else min(most, most_top), fewest_top - 1, -1):
+                left = n - copies * v
+                if not left:
+                    emit(wrap((v,) * copies))
+                elif v > lowest:
+                    fill((v,) * copies, left, v - 1)
     return tuple(out)
 
 

@@ -356,6 +356,38 @@ def test_guards_match_the_registry_predicates():
                     assert _refused(t.inverse, TaggedPreimage(off, p)) == (not bucketed), (bid, p, off)
 
 
+# The wide class each plain map's codomain shape lies in: its identity's family
+# (PED/POD), or D1/D2/O1 for the exchange maps.  A declared codomain class may
+# be narrower, so that audits list less, but it must keep every shaped member.
+WIDE_CODOMAINS = {
+    "thm1.add": PartitionClass.PED,
+    "thm2.shift": PartitionClass.PED,
+    "thm2.exchange.CA": PartitionClass.D2,
+    "thm2.exchange.DB": PartitionClass.D1,
+    "thm2.exceptional": PartitionClass.D1,
+    "thm3.add": PartitionClass.PED,
+    "thm3.sub": PartitionClass.PED,
+    "thm4.add": PartitionClass.POD,
+    "thm5.shift": PartitionClass.POD,
+    "thm5.exchange": PartitionClass.O1,
+    "thm6.add": PartitionClass.POD,
+    "thm6.sub": PartitionClass.POD,
+}
+
+
+def test_codomain_envelopes_keep_every_shaped_member_of_the_wide_class():
+    assert sorted(WIDE_CODOMAINS) == sorted(m.name for m in _plain_bijections())
+    narrowed = {m.name: m.codomain_class for m in _plain_bijections() if m.codomain_class != WIDE_CODOMAINS[m.name]}
+    C = PartitionClass
+    assert narrowed == {"thm2.shift": C.D3, "thm5.shift": C.O3, "thm2.exchange.DB": C.D3}
+    for mapping in _plain_bijections():
+        shape = mapping.codomain_shape
+        for n in range(mapping.min_weight, 31):  # as audits, read shapes from the gate up
+            declared = [q for q in class_members(n, mapping.codomain_class).members if shape(q)]
+            wide = [q for q in class_members(n, WIDE_CODOMAINS[mapping.name]).members if shape(q)]
+            assert declared == wide, (mapping.name, n)
+
+
 # Summed (domain_size, codomain_size) of each map's audit over n = 0..24.  A
 # weight gate moved in either direction changes the sums of its map.
 AUDIT_SIZES_TO_24 = {
@@ -470,6 +502,9 @@ def test_exchange_weight_is_conserved():
 def test_image_invariants_raise():
     with pytest.raises(RuntimeError, match="out of order"):
         _exact((2, 3))
+    with pytest.raises(RuntimeError, match="out of order"):
+        _exact((4, 4, 1, 2))
+    assert type(_exact((3, 3, 1))) is Partition
     with pytest.raises(RuntimeError, match="non-positive"):
         _exact((2, 0))
     with pytest.raises(RuntimeError, match="deficit -1"):

@@ -3,8 +3,8 @@
 import pytest
 
 from pedpod import counting
-from pedpod.core import Partition, PartitionClass, is_member
-from pedpod.enumeration import all_partitions, class_members, partitions_of
+from pedpod.core import CLASS_SPECS, Partition, PartitionClass, is_member
+from pedpod.enumeration import _generate_members, all_partitions, class_members, partitions_of
 
 
 def test_partitions_of_five_exact_order():
@@ -25,6 +25,92 @@ def test_partitions_of_zero_and_negative():
     with pytest.raises(ValueError):
         list(partitions_of(-1))
     assert all_partitions(-4) == ()
+
+
+def test_partitions_of_refuses_bad_n_on_first_iteration():
+    for bad in (-1, 2.0, "3", True):
+        stream = partitions_of(bad)  # a generator: nothing runs until it is iterated
+        with pytest.raises(ValueError, match="non-negative int"):
+            next(stream)
+
+
+def _rescanning_stream(n):
+    # The stream before ZS1, kept as its oracle: every step rescans the
+    # trailing 1s to find the rightmost part greater than 1.
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        parts[i] -= 1
+        spare = len(parts) - i  # the dropped 1s plus the decremented unit
+        del parts[i + 1:]
+        while spare:
+            chunk = min(parts[-1], spare)
+            parts.append(chunk)
+            spare -= chunk
+
+
+def test_stream_equals_the_rescanning_oracle():
+    for n in range(0, 41):
+        stream = list(partitions_of(n))
+        assert stream == list(_rescanning_stream(n)), n
+        assert all(type(p) is Partition for p in stream), n
+
+
+def _place_fill_members(n, spec):
+    # The listing walk before the prefix-passing fill, kept as its oracle:
+    # place/fill on one shared parts list, the lowest part placed last.
+    distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec
+    out = []
+    parts = []
+
+    def place(v, rest, fewest, most):
+        top = 1 if v % 2 == distinct else rest // v
+        if most is not None:
+            top = min(top, most)
+        for m in range(top, fewest - 1, -1):
+            left = rest - m * v
+            parts.extend((v,) * m)
+            if not left:
+                out.append(tuple(parts))
+            elif v > lowest:
+                fill(left, v - 1)
+            del parts[-m:]
+
+    def fill(rest, largest):
+        for v in range(min(largest, rest), lowest, -1):
+            if not (skip_fours and v % 4 == 0):
+                place(v, rest, 1, None)
+        copies, extra = divmod(rest, lowest)
+        if not extra and (copies == 1 or lowest % 2 != distinct):
+            out.append(tuple(parts) + (lowest,) * copies)
+
+    if n == 0:
+        if top_parity is None and lowest == 1:
+            out.append(())
+    elif top_parity is None:
+        fill(n, n)
+    else:
+        for v in range(n if n % 2 == top_parity else n - 1, 0, -2):
+            place(v, n, fewest_top, most_top)
+    return out
+
+
+def test_listings_equal_the_place_fill_oracle():
+    C = PartitionClass
+    cases = [(n, cls) for n in range(0, 36) for cls in PartitionClass]
+    cases += [(45, cls) for cls in (C.D1, C.O1, C.PED, C.POD)]
+    for n, cls in cases:
+        members = _generate_members(n, CLASS_SPECS[cls])
+        assert list(members) == _place_fill_members(n, CLASS_SPECS[cls]), (n, cls)
+        assert all(type(p) is Partition for p in members), (n, cls)
 
 
 def _pentagonal_totals(n_max):
