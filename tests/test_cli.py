@@ -412,6 +412,55 @@ def test_report_bytes_are_pinned(command, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORT_DIGESTS[command, fmt], fmt
 
 
+# sha256 of stdout for `list --class C --n N --format json` at n = 0, 1 and 12:
+# the listing walk may change, these bytes may not.
+_PINNED_LIST_JSON_DIGESTS = {
+    ("all", 0): "afcabd4cb4843e94631e565bcace2bb1be681ffc22f6b9e3b29099e26b163cc0",
+    ("all", 1): "9f6f41e4804b26f444d6809cd8b63e4ad3fb7bb1d4ff8a4e73a79d3cefe1b210",
+    ("all", 12): "90ea658d6b5f10694709639064d33dc32570566f8784824a6dd7884e6eb6dffa",
+    ("four_regular", 0): "09c49996c06a97e9c65158fecde7c9f31ec0e5a0ea6bf008f4d098eec8d54810",
+    ("four_regular", 1): "179135878535bce60c4301e0d69ef0d4a891a0f7389f3a552500cf6148c9f71b",
+    ("four_regular", 12): "10988d3ea964952e9a2e961df93b86071b7bc7e9365a6f8faa6078fd848c38fb",
+    ("ped", 0): "83247101ea45494672e42eb297cc1750eadfe5202c6731b82eb41b9df502816d",
+    ("ped", 1): "ef92eccc38e15a2b39d2a5e1c0d435b3a0f3fa8f2c5d0923638858aed2848d97",
+    ("ped", 12): "b9fdfae8863defd1a643e0ad5cbfe12c0846a58c9c4981336b98e86b08f025a9",
+    ("ped_gt1", 0): "73d128a944976daa251dc85813d64b019e1a9fb9cc40640363aad559c420fad8",
+    ("ped_gt1", 1): "2923f245c7fb9ff68fbdfdc7662bddf383f1022df6ac1170e1941ae16babbcca",
+    ("ped_gt1", 12): "ba50b913e51d8ab7577edc2d11004002ab257dcfc24703d7d8f6669fe82d86f7",
+    ("d1", 0): "c1dda5b45cbfe4ae3152b19e5575e0d6f3758379b7255fbb4093905e365b2065",
+    ("d1", 1): "0f313d7b9143310bd6fb3a77524a6d825a9a498fa2d338900fc4307ae11fe552",
+    ("d1", 12): "f41cb9e60933653b7a7f22823d377623d0f70e102d675ead89e7423a5fabc26d",
+    ("d2", 0): "26078dafc558afe101eda14b2c5360070914052025aaa49120089120615f27d6",
+    ("d2", 1): "be8ab81bbbefdaa0cd42396adc5e37c8f946d9f80a46f1d02532338285943e58",
+    ("d2", 12): "55b5b368888ca16d8d042d4f30a7cfcb391e5e249242a97a73583512b3b3dc08",
+    ("d3", 0): "d9c715cf9f67b6d73ffb895c4592b2923ba6fd8fd4bf22d0f03c980a32e2d948",
+    ("d3", 1): "014b395d58f0b9a9dd5b36b87159b4bb16da94e75c22c3ed13c0aa4389050440",
+    ("d3", 12): "990c9be0e41374f6e4eefaea01a802b04ce9518dfbb4cc176167c9627ac955fe",
+    ("pod", 0): "70273ce2f7a9f53cc96f24f4b6b5e445b71a1804f507f46a2d1a86077086fba7",
+    ("pod", 1): "6cbbd9fae5d95e9add5c62dbf82aaf050969d842c90d01d2a872ed97792514c2",
+    ("pod", 12): "9baa5919393d17dc4ec3f868c070b9b56b038502007dc3d06c41569bcbe7a822",
+    ("pod_gt2", 0): "06afa9425c15573111707166e6791ae28d71a166309eff537119c52a8f137758",
+    ("pod_gt2", 1): "dedc578d80dd17448a43dc64d6a80839237809077e4966d652d4d141b970fb1e",
+    ("pod_gt2", 12): "b70ea6ab7db365617e0b25169da9dc7eee4fe2829c7b87a3e0d498a82a854005",
+    ("o1", 0): "2e3a2c691cd086db875fbb23dc8e49d7188d76d0f222102a33d9c121425709c0",
+    ("o1", 1): "28e938a10e045fd29850c67caac623da216ae51aea8a11f7998c3d595556ddf0",
+    ("o1", 12): "d02f5785efbae9c52800f8c9b023d898143eca159e8495258084b902c3d77f4f",
+    ("o2", 0): "299f5ed8e91e0f934f0b3206619dcd56812c9a2551cebc0291e22f48e32f96a2",
+    ("o2", 1): "b946c763e1ddfaa11b80fd04aebba92171cc2a5559cac9d0db52fb2b65630262",
+    ("o2", 12): "a5e19c78e848e36b03efb01a2d3ed64388c0a056b647e962847fb3df2f4c60ea",
+    ("o3", 0): "4b05d829b97c7755f6003eb0e678fc825ccdf817a68cb8d48cc037fb4c31ea3e",
+    ("o3", 1): "80f56581485cdd2bd6994b8d9f21f484eac7c151796c4ed48d0257e9ff5f8898",
+    ("o3", 12): "8562ec78445204173afd7b866b9926053af8a0222263097c457961835bb1426e",
+}
+
+
+@pytest.mark.parametrize("cls", [c.value for c in PartitionClass])
+def test_list_json_bytes_are_pinned(cls, capsys):
+    for n in (0, 1, 12):
+        code, out, _ = run(["list", "--class", cls, "--n", str(n), "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_LIST_JSON_DIGESTS[cls, n], n
+
 def test_width_hint_caps_table_lines(monkeypatch, capsys):
     monkeypatch.setenv("PEDPOD_WIDTH", "18")
     code, out, _ = run(["verify", "--identity", "T1", "--to", "8"], capsys)
