@@ -4,7 +4,7 @@ Every map is a weight-shifting bijection between two explicitly described
 sets of partitions.  Fourteen maps are registered under stable dotted names:
 
     thm1.add            D1(n-1)            -> PED(n), largest part even     (+1)
-    thm2.shift          D2(n-3)            -> PED(n) of shape (L, L-1, ...) (+3)
+    thm2.shift          D2(n-3)            -> PED(n), (L, L-1, ...), L odd  (+3)
     thm2.exchange.CA    set C minus C'     -> set A minus A'                ( 0)
     thm2.exchange.DB    set D minus D'     -> set B minus B'                ( 0)
     thm2.exceptional    C' union D'        -> A' union B'                   ( 0)
@@ -12,7 +12,7 @@ sets of partitions.  Fourteen maps are registered under stable dotted names:
     thm3.add            D3(n-1)            -> PED(n), even largest, gap 2   (+1)
     thm3.sub            D3(n+2)            -> the rest of PED(n)            (-2)
     thm4.add            O1(n-1)            -> POD(n), largest part odd      (+1)
-    thm5.shift          O2(n-3)            -> POD(n) of shape (L, L-1, ...) (+3)
+    thm5.shift          O2(n-3)            -> POD(n), (L, L-1, ...), L even (+3)
     thm5.exchange       set C union D      -> set A union B                 ( 0)
     thm5.total          POD_GT2(n)         -> O2(n) or O2(n-3), tagged
     thm6.add            O3(n-1)            -> POD(n), odd largest, gap 2    (+1)
@@ -28,29 +28,29 @@ the top part, lower it, shift the two leading parts up or down, and sub.
 The thm2 letter sets live inside PED(n): C has an even largest part and no
 part 1, D has an odd largest part with a gap of at least 2 below it and no
 part 1, A is the D2 members containing a 1, and B has shape (L, L-1, ...)
-with a 1.  The primed sets are the finitely many special shapes the
-exceptional map trades between.  The thm5 letter sets are the analogues
+with L odd and a 1.  The primed sets are the finitely many special shapes
+the exceptional map trades between, each a test read on its letter's
+members.  The thm5 letter sets are the analogues
 inside POD(n) with the roles of the parities swapped and with parts 1 and 2
 acting as the small parts: C and D require every part to be at least 3,
 while A and B require a part 1 or 2.  So one builder, `_letters`, makes the
-C, D, A, B shapes of both families from the parity of the domain classes'
+C, D, A, B patterns of both families from the parity of the domain classes'
 largest part and the largest part that counts as small.
 
-Every map describes its two sides the same way: a domain class and a
-codomain class (its envelopes), one `min_weight` gate on the identity
-weight, and for a plain map a shape read only on the envelope's members.
-`in_domain`/`in_codomain` are envelope and gate and shape, and one guard,
-`_guard`, puts every registered forward and inverse behind them; outside
-them it raises DomainError.  An envelope is the narrowest class that holds
-its shape, because audits list it whole: the images of thm2.shift and
-thm5.shift and the set B of thm2.exchange.DB have a single largest part,
-so their codomain classes are D3, O3 and D3.
+Every plain map describes its two sides as data, each a union of disjoint
+head patterns (`core.ClassSpec`), read through one compiled test and one
+listing, and one `min_weight` gate on the identity weight; the thm2 pieces
+also keep (exceptional) or drop (exchange) the primed members.
+`in_domain`/`in_codomain` are test and gate, and one guard, `_guard`, puts
+every registered forward and inverse behind them; outside them it raises
+DomainError.  Audits and the letter sets list sides straight from their
+patterns, building no member outside them but those the primes set aside.
 
 `_total` assembles thm2.total and thm5.total from their identity's
-unguarded plain maps: the exchange pieces' shapes route a domain member
-to its piece, and the shift map's codomain shape sends the image down
-into the n-3 bucket.  Every other field (classes, offsets, gate) is read
-off the shift and the pieces, and one call runs the total's guard only.
+unguarded plain maps: the exchange pieces' domain tests route a domain
+member to its piece, and the shift map's codomain test sends the image
+down into the n-3 bucket.  Offsets and gate are read off the shift and
+the pieces, and one call runs the total's guard only.
 
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
@@ -63,11 +63,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from heapq import merge
 from operator import ge
 from typing import Callable
 
-from .core import Partition, PartitionClass, is_member
-from .enumeration import class_members
+from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _predicate, is_member
+from .enumeration import _check_weight, _generate_members
 
 
 class DomainError(ValueError):
@@ -168,61 +170,68 @@ def _unsub(top: int) -> Callable[[Partition], Partition]:
 
 
 # ---------------------------------------------------------------------------
-# The letter sets, as shapes read on PED (thm2) or POD (thm5) members.
+# The letter sets, as head patterns on PED (thm2) or POD (thm5).
 
 
-def _letters(top: int, small: int) -> tuple[Callable[[Partition], bool], ...]:
-    """The shapes C, D, A, B of one family, as the module docstring defines them.
+def _letters(family: PartitionClass, top: int, small: int) -> tuple[ClassSpec, ...]:
+    """The patterns C, D, A, B of one family, as the module docstring defines them.
 
     top is the parity of the domain classes' largest part (1 for ped, 0 for
     pod), small the largest part that counts as small (1 for thm2, 2 for thm5).
     """
-
-    def c(p: Partition) -> bool:
-        return bool(p) and p[0] % 2 != top and p[-1] > small
-
-    def d(p: Partition) -> bool:
-        return bool(p) and p[0] % 2 == top and p[-1] > small and (len(p) == 1 or p[1] <= p[0] - 2)
-
-    def a(p: Partition) -> bool:
-        return len(p) > 1 and p[0] % 2 == top and p[1] == p[0] and p[-1] <= small
-
-    def b(p: Partition) -> bool:
-        return len(p) > 1 and p[0] % 2 == top and p[1] == p[0] - 1 and p[-1] <= small
-
-    return c, d, a, b
+    whole, big = CLASS_SPECS[family], CLASS_SPECS[family]._replace(lowest=small + 1)
+    return (
+        big._replace(top_parity=1 - top),
+        big._replace(top_parity=top, gap=2),
+        whole._replace(top_parity=top, top_copies=(2, None), small=small),
+        whole._replace(top_parity=top, gap=1, small=small),
+    )
 
 
-_c2, _d2, _a2, _b2 = _letters(1, 1)
-_c5, _d5, _a5, _b5 = _letters(0, 2)
+_THM2 = _letters(PartitionClass.PED, 1, 1)
+_THM5 = _letters(PartitionClass.POD, 0, 2)
 
 
-def _c2_prime(p: Partition) -> bool:
-    """C': the singleton (n) and the pair (n-2, 2)."""
-    return _c2(p) and (len(p) == 1 or (len(p) == 2 and p[1] == 2))
+# The primed sets of the thm2 letters, each a test read only on its letter's members.
+_PRIMES = dict(zip(_THM2, (
+    lambda p: len(p) == 1 or (len(p) == 2 and p[1] == 2),  # C': the singleton (n) and the pair (n-2, 2)
+    lambda p: len(p) == 1 or p[1] == p[0] - 2,  # D': (n) and the shapes with the second part exactly L-2
+    lambda p: p.count(1) in (2, len(p)),  # A': the all-ones partition and the A members with exactly two 1s
+    lambda p: p[0] == 3 and p.weight % 2 == 0,  # B': the shapes (3, 2, 1, ..., 1) of even weight
+)))
 
 
-def _d2_prime(p: Partition) -> bool:
-    """D': the singleton (n) and the shapes with the second part exactly L-2."""
-    return _d2(p) and (len(p) == 1 or p[1] == p[0] - 2)
+def _side_members(n: int, side: tuple[ClassSpec, ...], primed: bool | None = None) -> list[Partition]:
+    """A side's members of weight n (none if n < 0), in decreasing lex order."""
+    if n < 0:
+        return []
+    listings = [_generate_members(n, spec) for spec in side]
+    if primed is not None:
+        listings = [[p for p in ps if _PRIMES[spec](p) == primed] for spec, ps in zip(side, listings)]
+    return list(listings[0] if len(listings) == 1 else merge(*listings, reverse=True))
 
 
-def _a2_prime(p: Partition) -> bool:
-    """A': the all-ones partition and the A members with exactly two 1s."""
-    if not _a2(p):
+def _side_test(side: tuple[ClassSpec, ...], primed: bool | None) -> Callable[[Partition], bool]:
+    """The membership test of what `_side_members` lists, compiled once."""
+    tests = [(_predicate(spec), None if primed is None else _PRIMES[spec]) for spec in side]
+    if len(tests) == 1 and primed is None:
+        return tests[0][0]
+
+    def member(p: Partition) -> bool:
+        for test, prime in tests:
+            if test(p):  # the patterns are disjoint, so the first that holds decides
+                return prime is None or prime(p) == primed
         return False
-    ones = p.count(1)
-    return ones == len(p) or ones == 2
+
+    return member
 
 
-def _b2_prime(p: Partition) -> bool:
-    """B': the shapes (3, 2, 1, ..., 1) of even weight."""
-    return _b2(p) and p[0] == 3 and p.weight % 2 == 0
-
-
-def _letter_sets(n: int, family: PartitionClass, shapes: dict) -> dict[str, tuple[Partition, ...]]:
-    pool = class_members(n, family).members
-    return {name: tuple(p for p in pool if shape(p)) for name, shape in shapes.items()}
+def _letter_sets(n: int, letters: tuple[ClassSpec, ...]) -> dict[str, tuple[Partition, ...]]:
+    """C, D, A, B listed from their patterns, then the primed sets among them."""
+    _check_weight(n)
+    sets = {name: _generate_members(n, spec) for name, spec in zip("CDAB", letters)}
+    primed = {name + "'": tuple(filter(_PRIMES[spec], sets[name])) for name, spec in zip("CDAB", letters) if spec in _PRIMES}
+    return {**sets, **primed}
 
 
 # thm2.exchange.CA: trade an even largest part 2l for a doubled second part
@@ -291,13 +300,12 @@ def b2_exceptional_inverse(q: Partition) -> Partition:
 
 def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     """Materialize the eight thm2 letter sets at weight n, each a subset of PED(n)."""
-    primes = {"C'": _c2_prime, "D'": _d2_prime, "A'": _a2_prime, "B'": _b2_prime}
-    return _letter_sets(n, PartitionClass.PED, {"C": _c2, "D": _d2, "A": _a2, "B": _b2, **primes})
+    return _letter_sets(n, _THM2)
 
 
 def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     """Materialize the four thm5 letter sets at weight n, each a subset of POD(n)."""
-    return _letter_sets(n, PartitionClass.POD, {"C": _c5, "D": _d5, "A": _a5, "B": _b5})
+    return _letter_sets(n, _THM5)
 
 
 # thm5.exchange: C union D -> A union B.  Every image carries the tail
@@ -364,50 +372,39 @@ def b5_exchange_inverse(q: Partition) -> Partition:
 # Registry
 
 
-def _whole(p: Partition) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class Bijection:
-    """A plain weight-shifting bijection between two shapes inside two classes.
+    """A plain weight-shifting bijection between two unions of disjoint head patterns.
 
-    At identity weight n the domain is the domain_class members of weight
-    n - weight_shift that have domain_shape, and the codomain the
-    codomain_class members of weight n that have codomain_shape; both are
-    empty below min_weight.  A shape is only read on members of its class.
+    At identity weight n the domain is the members of weight n - weight_shift
+    of the domain patterns, and the codomain those of weight n of the codomain
+    patterns; both are empty below min_weight.  primed keeps only each thm2
+    letter's primed members (True) or only the rest (False).
     """
 
     id: BijectionId
-    domain_class: PartitionClass
-    codomain_class: PartitionClass
+    domain: tuple[ClassSpec, ...]
+    codomain: tuple[ClassSpec, ...]
     weight_shift: int
     min_weight: int
     forward: Callable[[Partition], Partition]
     inverse: Callable[[Partition], Partition]
-    domain_shape: Callable[[Partition], bool] = _whole
-    codomain_shape: Callable[[Partition], bool] = _whole
+    primed: bool | None = None
     reconstructed: bool = False
 
     @property
     def name(self) -> str:
         return self.id.value
 
+    @cached_property
+    def _tests(self) -> tuple[Callable[[Partition], bool], Callable[[Partition], bool]]:
+        return _side_test(self.domain, self.primed), _side_test(self.codomain, self.primed)
+
     def in_domain(self, p: Partition) -> bool:
-        return (
-            isinstance(p, Partition)
-            and is_member(p, self.domain_class)
-            and p.weight + self.weight_shift >= self.min_weight
-            and self.domain_shape(p)
-        )
+        return isinstance(p, Partition) and self._tests[0](p) and p.weight + self.weight_shift >= self.min_weight
 
     def in_codomain(self, q: Partition) -> bool:
-        return (
-            isinstance(q, Partition)
-            and is_member(q, self.codomain_class)
-            and q.weight >= self.min_weight
-            and self.codomain_shape(q)
-        )
+        return isinstance(q, Partition) and self._tests[1](q) and q.weight >= self.min_weight
 
 
 @dataclass(frozen=True)
@@ -472,82 +469,66 @@ def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bije
 
     top is the parity of every domain member's largest part (odd for D1-D3,
     even for O1-O3), domains the three domain classes, and gates each map's
-    min_weight, the least identity weight of its codomain.  The shift's
-    codomain shape (L, L-1, ...) has a single largest part of parity top, so
-    its envelope is the third domain class (D3/O3), not the whole family.
+    min_weight, the least identity weight of its codomain.
     """
-    d1, d2, d3 = domains
+    d1, d2, d3 = (CLASS_SPECS[domain] for domain in domains)
+    other = CLASS_SPECS[family]._replace(top_parity=1 - top)
     maps = (
-        (1, d1, family, lambda q: q[0] % 2 != top, _raise_top, _lower_top),
-        (3, d2, d3, lambda q: len(q) > 1 and q[0] % 2 == top and q[1] == q[0] - 1, _shift_up, _shift_down),
-        (1, d3, family, lambda q: q[0] % 2 != top and (len(q) == 1 or q[1] <= q[0] - 2), _raise_top, _lower_top),
-        (-2, d3, family, lambda q: q[0] % 2 == top or (len(q) > 1 and q[1] == q[0] - 1), _sub, _unsub(top)),
+        (1, d1, (other,), _raise_top, _lower_top),
+        (3, d2, (d3._replace(gap=1),), _shift_up, _shift_down),
+        (1, d3, (other._replace(gap=2),), _raise_top, _lower_top),
+        (-2, d3, (d1, other._replace(gap=1)), _sub, _unsub(top)),
     )
     return [
-        Bijection(bid, domain, codomain, shift, gate, forward, inverse, codomain_shape=shape, reconstructed=flag)
-        for bid, gate, flag, (shift, domain, codomain, shape, forward, inverse) in zip(ids, gates, reconstructed, maps)
+        Bijection(bid, (domain,), codomain, shift, gate, forward, inverse, reconstructed=flag)
+        for bid, gate, flag, (shift, domain, codomain, forward, inverse) in zip(ids, gates, reconstructed, maps)
     ]
 
 
-def _total(bid: BijectionId, shift: Bijection, pieces: tuple[Bijection, ...]) -> TotalDecomposition:
-    """The tagged decomposition one identity's shift map and exchange pieces assemble.
+def _total(bid, classes, shift: Bijection, pieces: tuple[Bijection, ...]) -> TotalDecomposition:
+    """The tagged decomposition of classes (domain, buckets) one identity's shift and pieces assemble.
 
-    forward applies the piece whose domain shape p has (p passes through if
-    none has it); an image with the shift's codomain shape goes down the
-    shift's inverse into the bucket at n - weight_shift, any other image
-    stays in the bucket at n.  inverse lifts a low-bucket member with the
-    shift's forward, then undoes the piece whose codomain shape the result
-    has.  Shift and pieces come unguarded: the total's own guard already
-    admits only its domain and buckets, so one call runs one guard.
+    forward applies the piece whose domain holds p (p passes through if none
+    does); an image in the shift's codomain goes down the shift's inverse
+    into the bucket at n - weight_shift, any other image stays in the bucket
+    at n.  inverse lifts a low-bucket member with the shift's forward, then
+    undoes the piece whose codomain holds the result.  Shift and pieces come
+    unguarded: the total's own guard already admits only its domain and
+    buckets, so one call runs one guard.
     """
-    (domain_class,) = {piece.domain_class for piece in pieces}
     low = -shift.weight_shift
 
     def forward(p: Partition) -> TaggedPreimage:
-        q = next((piece.forward(p) for piece in pieces if piece.domain_shape(p)), p)
-        return TaggedPreimage(low, shift.inverse(q)) if shift.codomain_shape(q) else TaggedPreimage(0, q)
+        q = next((piece.forward(p) for piece in pieces if piece._tests[0](p)), p)
+        return TaggedPreimage(low, shift.inverse(q)) if shift._tests[1](q) else TaggedPreimage(0, q)
 
     def inverse(t: TaggedPreimage) -> Partition:
         q = shift.forward(t.partition) if t.offset == low else t.partition
-        return next((piece.inverse(q) for piece in pieces if piece.codomain_shape(q)), q)
+        return next((piece.inverse(q) for piece in pieces if piece._tests[1](q)), q)
 
     return TotalDecomposition(
-        bid, domain_class, shift.domain_class, (0, low), shift.min_weight, forward, inverse,
+        bid, *classes, (0, low), shift.min_weight, forward, inverse,
         reconstructed=shift.reconstructed or any(piece.reconstructed for piece in pieces),
     )
 
 
 def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
     B, C = BijectionId, PartitionClass
+    c2, d2, a2, b2 = _THM2
+    c5, d5, a5, b5 = _THM5
     raw = {entry.id: entry for entry in [
         *_mirror_family(C.PED, 1, (C.D1, C.D2, C.D3), (1, 1, 1, 1),
                         (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
         *_mirror_family(C.POD, 0, (C.O1, C.O2, C.O3), (2, 5, 3, 3),
                         (B.B4, B.B5_SHIFT, B.B6_ADD, B.B6_SUB), (True, False, True, True)),
-        Bijection(
-            B.B2_EXCHANGE_CA, C.PED_GT1, C.D2, 0, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse,
-            lambda p: _c2(p) and not _c2_prime(p),
-            lambda q: _a2(q) and not _a2_prime(q),
-        ),
-        Bijection(  # B's shape (L, L-1, ...) has a single largest part, so it lies in D3
-            B.B2_EXCHANGE_DB, C.PED_GT1, C.D3, 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse,
-            lambda p: _d2(p) and not _d2_prime(p),
-            lambda q: _b2(q) and not _b2_prime(q),
-        ),
-        Bijection(
-            B.B2_EXCEPTIONAL, C.PED_GT1, C.D1, 0, 0, b2_exceptional_forward, b2_exceptional_inverse,
-            lambda p: _c2_prime(p) or _d2_prime(p),
-            lambda q: _a2_prime(q) or _b2_prime(q),
-        ),
-        Bijection(
-            B.B5_EXCHANGE, C.POD_GT2, C.O1, 0, 0, b5_exchange_forward, b5_exchange_inverse,
-            lambda p: _c5(p) or _d5(p),
-            lambda q: _a5(q) or _b5(q),
-        ),
+        Bijection(B.B2_EXCHANGE_CA, (c2,), (a2,), 0, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse, False),
+        Bijection(B.B2_EXCHANGE_DB, (d2,), (b2,), 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse, False),
+        Bijection(B.B2_EXCEPTIONAL, (c2, d2), (a2, b2), 0, 0, b2_exceptional_forward, b2_exceptional_inverse, True),
+        Bijection(B.B5_EXCHANGE, (c5, d5), (a5, b5), 0, 0, b5_exchange_forward, b5_exchange_inverse),
     ]}
-    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, raw[B.B2_SHIFT],
+    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, (C.PED_GT1, C.D2), raw[B.B2_SHIFT],
                              (raw[B.B2_EXCHANGE_CA], raw[B.B2_EXCHANGE_DB], raw[B.B2_EXCEPTIONAL]))
-    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, raw[B.B5_SHIFT], (raw[B.B5_EXCHANGE],))
+    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, (C.POD_GT2, C.O2), raw[B.B5_SHIFT], (raw[B.B5_EXCHANGE],))
     return {bid: _guard(raw[bid]) for bid in BijectionId}
 
 

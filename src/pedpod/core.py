@@ -23,6 +23,10 @@ Each class is defined once, as a `ClassSpec` in `CLASS_SPECS`.  `is_member`,
 the listings in `enumeration` and the DP back-end in `counting` all read it;
 the enum walk and the series back-end keep their own encodings on purpose,
 so that comparing the back-ends checks this table too.
+
+A `ClassSpec` is also a head pattern, so the proof maps' sides are data
+too: it may pin the largest part L's parity and copies, ask for a second
+part of L-1 or none above L-2, and ask for some part at most `small`.
 """
 
 from __future__ import annotations
@@ -115,13 +119,15 @@ class PartitionClass(Enum):
 
 
 class ClassSpec(NamedTuple):
-    """What a class asks of its members; each default asks nothing."""
+    """What a class or a head pattern asks of its members; each default asks nothing."""
 
     distinct: int | None = None  # parity whose parts appear at most once each
     lowest: int = 1  # the smallest allowed part
     skip_fours: bool = False  # no part divisible by 4
     top_parity: int | None = None  # parity the largest part must have
     top_copies: tuple[int, int | None] = (1, None)  # fewest, most copies of the largest
+    gap: int | None = None  # 1: the second part is L-1; 2: any second part is at most L-2
+    small: int | None = None  # some part must be at most this
 
 
 CLASS_SPECS = {
@@ -142,7 +148,7 @@ CLASS_SPECS = {
 
 def _predicate(spec: ClassSpec) -> Callable[[Partition], bool]:
     """The membership test of a spec: the O(1) checks on the head first, then the scans."""
-    distinct, lowest, skip_fours, top_parity, (fewest, most) = spec
+    distinct, lowest, skip_fours, top_parity, (fewest, most), gap, small = spec
 
     def member(p: Partition) -> bool:
         if not p:
@@ -163,7 +169,14 @@ def _predicate(spec: ClassSpec) -> Callable[[Partition], bool]:
                     return False
         return True
 
-    return member
+    def pattern(p: Partition) -> bool:  # the head clauses the pattern sets, then the class's test
+        second = p[1] if len(p) > 1 else -1  # a lone largest part has no second part
+        return (
+            bool(p) and (small is None or p[-1] <= small)
+            and (gap is None or (second == p[0] - 1 if gap == 1 else second <= p[0] - 2)) and member(p)
+        )
+
+    return member if gap is None and small is None else pattern  # a class's test runs no head clause
 
 
 _PREDICATES = {cls: _predicate(spec) for cls, spec in CLASS_SPECS.items()}

@@ -63,7 +63,7 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
     parts >= c, or >= c + 1 if c is a distinct part; only a flat c^j thereby
     changes its largest part's copies.
     """
-    parity, _, skip_fours, top_parity, (fewest, most) = spec
+    parity, _, skip_fours, top_parity, (fewest, most) = spec[:5]  # a class sets no head-pattern field
     t = 4 if skip_fours else 1 if parity is None else 2
 
     def flat(c: int, j: int) -> bool:  # is c repeated j times a member?
@@ -96,7 +96,7 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
 def _dp_counts(partition_class: PartitionClass, n_max: int, split: int | None = None) -> tuple[int, ...]:
     """Parts >= s by `_large_parts`, times parts < s one size at a time."""
     spec = CLASS_SPECS[partition_class]
-    parity, lowest, skip_fours, top_parity, (fewest, most) = spec
+    parity, lowest, skip_fours, top_parity, (fewest, most) = spec[:5]
     s = max(lowest, split or isqrt(2 * n_max))
     top = n_max
     out = _large_parts(spec, n_max, s)

@@ -9,17 +9,19 @@ rescans the trailing 1s and the stream runs in constant amortized time per
 partition.
 
 Listings are generated per class from its `core.CLASS_SPECS` entry, the one
-definition of the classes: one pruned recursion, fill(prefix, rest,
-largest), passes the parts placed so far down as a tuple and places one
-distinct part size at a time, largest size and most copies first, so it
-never builds a partition outside the class.  The smallest allowed part can
-only end a member, so its copies are appended in one step from a table of
-the tails it can make, and a rest that only it can make costs no call.  A
-listing costs time in proportion to the class, not to p(n), and comes out
-in the same decreasing order as the filtered stream; the `all` listing is
-generated the same way and equals the stream.  The stream stays as the
-reference the listings are tested against.  Generation is for small n;
-counting at larger n belongs to the DP and series back-ends.
+definition of the classes, or per head pattern: a top-part loop places the
+largest part as the spec asks, then one pruned recursion, fill(prefix,
+rest, largest), passes the parts placed so far down as a tuple and places
+one distinct part size at a time, largest size and most copies first, so
+it never builds a partition outside the spec: a gap caps or pins the
+second part and `small` the last.  The smallest allowed part can only end
+a member, so its copies are appended in one step from a table of the tails
+it can make, and a rest that only it can make costs no call.  A listing
+costs time in proportion to its members, not to p(n), and comes out in
+the same decreasing order as the filtered stream; the `all` listing equals
+the stream, which stays as the reference the listings are tested against.
+Generation is for small n; counting at larger n belongs to the DP and
+series back-ends.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from typing import Iterator
 from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _not_a_class
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n, lexicographically decreasing from (n)."""
+def _check_weight(n: int) -> None:
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative int, got {n!r}")
+
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n, lexicographically decreasing from (n)."""
+    _check_weight(n)
     wrap = Partition._unsafe
     if n == 0:
         yield wrap(())
@@ -96,52 +102,58 @@ class ClassListing:
 
 def _generate_members(n: int, spec: ClassSpec) -> tuple[Partition, ...]:
     """The partitions of n >= 0 meeting the spec, in decreasing lex order."""
-    distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec
+    distinct, lowest, skip_fours, top_parity, (fewest_top, most_top), gap, small = spec
     out: list[Partition] = []
     emit, wrap = out.append, Partition._unsafe
+    closes = n if small is None else small  # the largest part that may end a member
     # The smallest allowed part can only finish a member, so it is placed
     # directly: tails maps each weight that copies of it may make to those copies.
     most_lowest = 1 if lowest % 2 == distinct else n // lowest
-    tails = {k * lowest: (lowest,) * k for k in range(most_lowest + 1)}
+    tails = {k * lowest: (lowest,) * k for k in range(most_lowest + 1)} if lowest <= closes else {}
 
-    def fill(prefix: tuple[int, ...], rest: int, largest: int) -> None:
+    def fill(prefix: tuple[int, ...], rest: int, largest: int, stop: int = lowest, tail: bool = True) -> None:
         # Every completion of prefix making rest from parts <= largest: each
-        # part size v above lowest, most copies first, then what is left from
+        # part size v above stop, most copies first, then what is left from
         # parts below v; a rest that only the lowest part can make is a tail.
-        for v in range(min(largest, rest), lowest, -1):
+        for v in range(min(largest, rest), stop, -1):
             if skip_fours and v % 4 == 0:
                 continue
             for copies in range(1 if v % 2 == distinct else rest // v, 0, -1):
                 left = rest - copies * v
                 if left and v - 1 > lowest:
                     fill(prefix + (v,) * copies, left, v - 1)
-                elif left in tails:
+                elif left in tails and (left or v <= closes):
                     emit(wrap(prefix + (v,) * copies + tails[left]))
-        if rest in tails:
+        if tail and rest in tails:
             emit(wrap(prefix + tails[rest]))
 
     if n == 0:
-        if top_parity is None and lowest == 1:
+        if lowest == 1 and top_parity is None and gap is None and small is None:
             emit(wrap(()))
-    elif top_parity is None:
-        fill((), n, n)
-    else:
-        # The largest part v has the top parity and fewest_top..most_top copies.
-        for v in range(n if n % 2 == top_parity else n - 1, 0, -2):
-            most = 1 if v % 2 == distinct else n // v
-            for copies in range(most if most_top is None else min(most, most_top), fewest_top - 1, -1):
-                left = n - copies * v
-                if not left:
+        return tuple(out)
+    # The largest part v, of the top parity if pinned, with fewest_top..most_top copies (one if a
+    # gap follows), then the rest from parts up to v - 1 (v - 2 for gap 2; the first is v - 1 for gap 1).
+    step = 1 if top_parity is None else 2
+    for v in range(n if step == 1 or n % 2 == top_parity else n - 1, lowest - 1, -step):
+        if skip_fours and v % 4 == 0:
+            continue
+        most = 1 if gap or v % 2 == distinct else n // v
+        for copies in range(most if most_top is None else min(most, most_top), fewest_top - 1, -1):
+            left = n - copies * v
+            if not left:
+                if gap != 1 and v <= closes:
                     emit(wrap((v,) * copies))
-                elif v > lowest:
-                    fill((v,) * copies, left, v - 1)
+            elif gap == 1:
+                if v > lowest:
+                    fill((v,), left, v - 1, max(v - 2, lowest), v - 1 == lowest)
+            elif v - (gap or 1) >= lowest:
+                fill((v,) * copies, left, v - (gap or 1))
     return tuple(out)
 
 
 def class_members(n: int, partition_class: PartitionClass) -> ClassListing:
     """List the partitions of n lying in a class, in decreasing lex order."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a non-negative int, got {n!r}")
+    _check_weight(n)
     try:
         spec = CLASS_SPECS[partition_class]
     except (KeyError, TypeError):

@@ -18,10 +18,10 @@ Audits enumerate a map's declared domain and codomain outright and check
 totality, the declared weight shift, landing inside the codomain,
 injectivity, surjectivity, and both round trips.  The audit weight n is
 the identity's n.  One engine audits both kinds of map, and every side is
-listed from its class by class_members: a plain map's domain at weight
-n - weight_shift and codomain at n, each filtered by the map's shape, and
-a tagged decomposition's domain and each bucket, tagged with its offset.
-This is exactly the counting argument the identities rest on.
+listed outright from its head patterns or class: a plain map's domain at
+weight n - weight_shift and codomain at n, and a tagged decomposition's
+domain and each bucket, tagged with its offset.  This is exactly the
+counting argument the identities rest on.
 
 A record's JSON object is its dataclass fields in declaration order, so a
 field added to IdentityRow, AuditRecord or CrossCheckRecord reaches the JSON
@@ -37,11 +37,11 @@ from .bijections import (
     BijectionId,
     TaggedPreimage,
     TotalDecomposition,
+    _side_members,
     get_bijection,
 )
-from .core import Partition, PartitionClass
+from .core import CLASS_SPECS, Partition, PartitionClass
 from .counting import ENUM_CAP, SERIES_CLASSES, _aligned, count_table, normalize_backend
-from .enumeration import class_members
 
 _AUDIT_WEIGHT_CAP = 50
 _FAILURE_CAP = 100
@@ -295,11 +295,6 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _listed(n: int, partition_class: PartitionClass) -> tuple[Partition, ...]:
-    """The members of a class at weight n; none at a negative weight."""
-    return class_members(n, partition_class).members if n >= 0 else ()
-
-
 def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord:
     """Audit a map at identity weight n, calling each direction once per member.
 
@@ -313,13 +308,12 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
     if n < mapping.min_weight:
         domain = codomain = ()  # below the gate both sides are empty
     elif tagged:
-        domain = _listed(n, mapping.domain_class)
-        codomain = [
-            TaggedPreimage(off, q) for off in mapping.offsets for q in _listed(n + off, mapping.bucket_class)
-        ]
+        domain = _side_members(n, (CLASS_SPECS[mapping.domain_class],))
+        bucket = (CLASS_SPECS[mapping.bucket_class],)
+        codomain = [TaggedPreimage(off, q) for off in mapping.offsets for q in _side_members(n + off, bucket)]
     else:
-        domain = [p for p in _listed(n - mapping.weight_shift, mapping.domain_class) if mapping.domain_shape(p)]
-        codomain = [q for q in _listed(n, mapping.codomain_class) if mapping.codomain_shape(q)]
+        domain = _side_members(n - mapping.weight_shift, mapping.domain, mapping.primed)
+        codomain = _side_members(n, mapping.codomain, mapping.primed)
     members = set(codomain)
     failures: list[str] = []
     preimage: dict[Partition | TaggedPreimage, Partition] = {}

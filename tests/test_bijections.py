@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from pedpod.bijections import (
     TotalDecomposition,
     _exact,
     _pad_with_twos,
+    _side_members,
     b2_exceptional_forward,
     b2_exceptional_inverse,
     b2_exchange_ca_forward,
@@ -28,7 +30,7 @@ from pedpod.bijections import (
     thm2_sets,
     thm5_sets,
 )
-from pedpod.core import Partition, PartitionClass, is_member
+from pedpod.core import CLASS_SPECS, Partition, PartitionClass, is_member
 from pedpod.enumeration import all_partitions, class_members, partitions_of
 from pedpod.verification import audit_bijection_range
 
@@ -291,26 +293,27 @@ TOTAL_PARTS = {
 def test_totals_take_their_fields_from_shift_and_pieces():
     for bid, (shift_id, piece_ids) in TOTAL_PARTS.items():
         t, shift = REGISTRY[bid], REGISTRY[shift_id]
-        assert t.bucket_class == shift.domain_class, bid
+        assert shift.domain == (CLASS_SPECS[t.bucket_class],), bid
         assert t.offsets == (0, -shift.weight_shift), bid
         assert t.min_weight == shift.min_weight, bid
         for piece_id in piece_ids:
-            assert REGISTRY[piece_id].domain_class == t.domain_class, (bid, piece_id)
+            piece = REGISTRY[piece_id]
+            for n in range(0, 19):
+                domain = _side_members(n, piece.domain, piece.primed)
+                assert all(is_member(p, t.domain_class) for p in domain), (bid, piece_id, n)
 
 
 def test_total_pieces_have_disjoint_shapes():
-    # Disjoint shapes make a total's first-match routing independent of order.
+    # Disjoint sides make a total's first-match routing independent of order.
     for bid, (shift_id, piece_ids) in TOTAL_PARTS.items():
         t, shift = REGISTRY[bid], REGISTRY[shift_id]
         pieces = [REGISTRY[piece_id] for piece_id in piece_ids]
         for n in range(0, 19):
             domain = class_members(n, t.domain_class).members
-            codomain = class_members(n, t.bucket_class).members + tuple(
-                q for q in class_members(n, shift.codomain_class).members if shift.in_codomain(q)
-            )
+            codomain = class_members(n, t.bucket_class).members + tuple(_side_members(n, shift.codomain))
             for a, b in combinations(pieces, 2):
-                assert not any(a.domain_shape(p) and b.domain_shape(p) for p in domain), (a.name, b.name, n)
-                assert not any(a.codomain_shape(q) and b.codomain_shape(q) for q in codomain), (a.name, b.name, n)
+                assert not any(a.in_domain(p) and b.in_domain(p) for p in domain), (a.name, b.name, n)
+                assert not any(a.in_codomain(q) and b.in_codomain(q) for q in codomain), (a.name, b.name, n)
 
 
 # sha256 of every "name p offset image" line of both totals over weights
@@ -356,38 +359,6 @@ def test_guards_match_the_registry_predicates():
                     assert _refused(t.inverse, TaggedPreimage(off, p)) == (not bucketed), (bid, p, off)
 
 
-# The wide class each plain map's codomain shape lies in: its identity's family
-# (PED/POD), or D1/D2/O1 for the exchange maps.  A declared codomain class may
-# be narrower, so that audits list less, but it must keep every shaped member.
-WIDE_CODOMAINS = {
-    "thm1.add": PartitionClass.PED,
-    "thm2.shift": PartitionClass.PED,
-    "thm2.exchange.CA": PartitionClass.D2,
-    "thm2.exchange.DB": PartitionClass.D1,
-    "thm2.exceptional": PartitionClass.D1,
-    "thm3.add": PartitionClass.PED,
-    "thm3.sub": PartitionClass.PED,
-    "thm4.add": PartitionClass.POD,
-    "thm5.shift": PartitionClass.POD,
-    "thm5.exchange": PartitionClass.O1,
-    "thm6.add": PartitionClass.POD,
-    "thm6.sub": PartitionClass.POD,
-}
-
-
-def test_codomain_envelopes_keep_every_shaped_member_of_the_wide_class():
-    assert sorted(WIDE_CODOMAINS) == sorted(m.name for m in _plain_bijections())
-    narrowed = {m.name: m.codomain_class for m in _plain_bijections() if m.codomain_class != WIDE_CODOMAINS[m.name]}
-    C = PartitionClass
-    assert narrowed == {"thm2.shift": C.D3, "thm5.shift": C.O3, "thm2.exchange.DB": C.D3}
-    for mapping in _plain_bijections():
-        shape = mapping.codomain_shape
-        for n in range(mapping.min_weight, 31):  # as audits, read shapes from the gate up
-            declared = [q for q in class_members(n, mapping.codomain_class).members if shape(q)]
-            wide = [q for q in class_members(n, WIDE_CODOMAINS[mapping.name]).members if shape(q)]
-            assert declared == wide, (mapping.name, n)
-
-
 # Summed (domain_size, codomain_size) of each map's audit over n = 0..24.  A
 # weight gate moved in either direction changes the sums of its map.
 AUDIT_SIZES_TO_24 = {
@@ -431,10 +402,12 @@ def test_thm2_sets_partition_the_letter_families():
             assert p.weight == n
 
 
+@cache  # the definitions below read each partition's family many times
 def _ped(p):
     return all(p.count(x) == 1 for x in set(p) if x % 2 == 0)
 
 
+@cache
 def _pod(p):
     return all(p.count(x) == 1 for x in set(p) if x % 2 == 1)
 
@@ -466,13 +439,78 @@ THM5_LETTERS = {
     "B": lambda p: _pod(p) and len(p) > 1 and max(p) % 2 == 0 and p[1] == max(p) - 1 and min(p) <= 2,
 }
 
+
+def _family_maps(family, top):
+    # The four mirrored maps of one family (PED with top 1, POD with top 0),
+    # L being the largest part.  Domains: D1 has L of parity top, D2 also
+    # repeats it and D3 has it once.  Codomains: L of the other parity;
+    # (L, L-1, ...) with L of parity top; L of the other parity with every
+    # other part at most L-2; and the rest of the family beyond that last one.
+    def d1(p):
+        return family(p) and len(p) > 0 and max(p) % 2 == top
+
+    def gap2(p):
+        return family(p) and len(p) > 0 and max(p) % 2 != top and all(x <= max(p) - 2 for x in p[1:])
+
+    return (
+        (d1, lambda p: family(p) and len(p) > 0 and max(p) % 2 != top),
+        (lambda p: d1(p) and p.count(max(p)) >= 2, lambda p: d1(p) and len(p) > 1 and p[1] == max(p) - 1),
+        (lambda p: d1(p) and p.count(max(p)) == 1, gap2),
+        (lambda p: d1(p) and p.count(max(p)) == 1, lambda p: family(p) and len(p) > 0 and not gap2(p)),
+    )
+
+
+def _minus(a, b):
+    return lambda p: a(p) and not b(p)
+
+
+def _either(a, b):
+    return lambda p: a(p) or b(p)
+
+
+# Each plain map's (domain, codomain) from the module docstring's table, as
+# sets of partitions of any weight.
+L2, L5 = THM2_LETTERS, THM5_LETTERS
+MAP_SIDES = {
+    **dict(zip(("thm1.add", "thm2.shift", "thm3.add", "thm3.sub"), _family_maps(_ped, 1))),
+    **dict(zip(("thm4.add", "thm5.shift", "thm6.add", "thm6.sub"), _family_maps(_pod, 0))),
+    "thm2.exchange.CA": (_minus(L2["C"], L2["C'"]), _minus(L2["A"], L2["A'"])),
+    "thm2.exchange.DB": (_minus(L2["D"], L2["D'"]), _minus(L2["B"], L2["B'"])),
+    "thm2.exceptional": (_either(L2["C'"], L2["D'"]), _either(L2["A'"], L2["B'"])),
+    "thm5.exchange": (_either(L5["C"], L5["D"]), _either(L5["A"], L5["B"])),
+}
+
+
 def test_letter_sets_match_their_definitions():
-    for n in range(31):
+    for n in range(36):
         stream = list(partitions_of(n))
         for sets, letters in ((thm2_sets(n), THM2_LETTERS), (thm5_sets(n), THM5_LETTERS)):
             assert list(sets) == list(letters)
             for name, test in letters.items():
                 assert sets[name] == tuple(p for p in stream if test(p)), (n, name)
+
+
+def test_map_sides_are_listed_as_their_definitions():
+    # Each side listed straight from its head patterns is exactly its
+    # definition, in the order of the stream, at every weight up to 35.
+    assert sorted(MAP_SIDES) == sorted(m.name for m in _plain_bijections())
+    for n in range(36):
+        stream = list(partitions_of(n))
+        for mapping in _plain_bijections():
+            for side, definition in zip((mapping.domain, mapping.codomain), MAP_SIDES[mapping.name]):
+                expected = [p for p in stream if definition(p)]
+                assert _side_members(n, side, mapping.primed) == expected, (mapping.name, n)
+
+
+def test_guards_admit_every_listed_member():
+    # The listings and the guards read the same patterns, so a pattern too
+    # narrow in both still fails the definitions above; this ties the two.
+    for mapping in _plain_bijections():
+        for n in range(mapping.min_weight, 31):
+            for p in _side_members(n - mapping.weight_shift, mapping.domain, mapping.primed):
+                assert mapping.in_domain(p), (mapping.name, p)
+            for q in _side_members(n, mapping.codomain, mapping.primed):
+                assert mapping.in_codomain(q), (mapping.name, q)
 
 
 def test_thm5_sets_are_disjoint_and_pod():

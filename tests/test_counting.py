@@ -131,7 +131,7 @@ def _dense_apply_part(row, part, restricted_parity):
 
 
 def _dense_dp(cls, n_max):
-    parity, lowest, skip_fours, top_parity, (fewest, most) = CLASS_SPECS[cls]
+    parity, lowest, skip_fours, top_parity, (fewest, most) = CLASS_SPECS[cls][:5]  # the class fields
     row = [1] + [0] * n_max
     if top_parity is None:
         for part in range(lowest, n_max + 1):

@@ -3,7 +3,7 @@
 import pytest
 
 from pedpod import counting
-from pedpod.core import CLASS_SPECS, Partition, PartitionClass, is_member
+from pedpod.core import CLASS_SPECS, Partition, PartitionClass, _predicate, is_member
 from pedpod.enumeration import _generate_members, all_partitions, class_members, partitions_of
 
 
@@ -67,7 +67,7 @@ def test_stream_equals_the_rescanning_oracle():
 def _place_fill_members(n, spec):
     # The listing walk before the prefix-passing fill, kept as its oracle:
     # place/fill on one shared parts list, the lowest part placed last.
-    distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec
+    distinct, lowest, skip_fours, top_parity, (fewest_top, most_top) = spec[:5]  # the class fields
     out = []
     parts = []
 
@@ -112,6 +112,26 @@ def test_listings_equal_the_place_fill_oracle():
         assert list(members) == _place_fill_members(n, CLASS_SPECS[cls]), (n, cls)
         assert all(type(p) is Partition for p in members), (n, cls)
 
+
+
+def test_every_head_pattern_lists_what_its_predicate_admits():
+    # Every head pattern on every class without a pinned top, including those
+    # no map uses: a top pinned below the lowest part, a small bound below it,
+    # a gap after repeated tops, skipped fours at an even top.
+    C = PartitionClass
+    specs = [
+        CLASS_SPECS[cls]._replace(top_parity=parity, top_copies=copies, gap=gap, small=small)
+        for cls in (C.ALL, C.FOUR_REGULAR, C.PED, C.PED_GT1, C.POD, C.POD_GT2)
+        for parity in (None, 0, 1)
+        for copies in ((1, None), (2, None), (1, 1))
+        for gap in (None, 1, 2)
+        for small in (None, 1, 2)
+    ]
+    for n in range(0, 15):
+        stream = list(partitions_of(n))
+        for spec in specs:
+            member = _predicate(spec)
+            assert list(_generate_members(n, spec)) == [p for p in stream if member(p)], (n, spec)
 
 def _pentagonal_totals(n_max):
     # Euler's recurrence: p(n) = sum_k (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].

@@ -13,7 +13,7 @@ from pedpod.bijections import (
     thm2_sets,
     thm5_sets,
 )
-from pedpod.core import Partition, PartitionClass
+from pedpod.core import CLASS_SPECS, Partition, PartitionClass
 from pedpod import bijections, core, counting
 from pedpod.counting import class_count, count_table
 from pedpod.enumeration import all_partitions, class_members, partitions_of
@@ -195,13 +195,12 @@ def test_audit_report_serialization():
 def _broken_bijection():
     return Bijection(
         id=BijectionId.B1,
-        domain_class=PartitionClass.D1,
-        codomain_class=PartitionClass.PED,
+        domain=(CLASS_SPECS[PartitionClass.D1],),
+        codomain=(CLASS_SPECS[PartitionClass.PED]._replace(top_parity=0),),
         weight_shift=1,
         min_weight=1,
         forward=lambda p: Partition((p.weight + 1,)),  # constant-shape image
         inverse=lambda q: q,
-        codomain_shape=lambda q: q[0] % 2 == 0,
     )
 
 
