@@ -38,13 +38,12 @@ C, D, A, B patterns of both families from the parity of the domain classes'
 largest part and the largest part that counts as small.
 
 Every plain map describes its two sides as data, each a union of disjoint
-head patterns (`core.ClassSpec`), read through one compiled test and one
-listing, and one `min_weight` gate on the identity weight; the thm2 pieces
-also keep (exceptional) or drop (exchange) the primed members.
-`in_domain`/`in_codomain` are test and gate, and one guard, `_guard`, puts
-every registered forward and inverse behind them; outside them it raises
-DomainError.  Audits and the letter sets list sides straight from their
-patterns, building no member outside them but those the primes set aside.
+head patterns (`core.ClassSpec`), and one `min_weight` gate on the identity
+weight; the thm2 pieces also keep (exceptional) or drop (exchange) the
+primed members.  `in_domain`/`in_codomain` are a side's compiled test and
+the gate, and one guard, `_guard`, puts every registered forward and inverse
+behind them; outside them it raises DomainError.  Audits and the letter
+sets list each side straight from its patterns.
 
 `_total` assembles thm2.total and thm5.total from their identity's
 unguarded plain maps: the exchange pieces' domain tests route a domain
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from heapq import merge
 from operator import ge
 from typing import Callable
@@ -203,17 +201,15 @@ _PRIMES = dict(zip(_THM2, (
 
 def _side_members(n: int, side: tuple[ClassSpec, ...], primed: bool | None = None) -> list[Partition]:
     """A side's members of weight n (none if n < 0), in decreasing lex order."""
-    if n < 0:
-        return []
-    listings = [_generate_members(n, spec) for spec in side]
-    if primed is not None:
-        listings = [[p for p in ps if _PRIMES[spec](p) == primed] for spec, ps in zip(side, listings)]
+    listings = [_generate_members(n, spec) if primed is None
+                else [p for p in _generate_members(n, spec) if _PRIMES[spec](p) == primed] for spec in side]
     return list(listings[0] if len(listings) == 1 else merge(*listings, reverse=True))
 
 
-def _side_test(side: tuple[ClassSpec, ...], primed: bool | None) -> Callable[[Partition], bool]:
-    """The membership test of what `_side_members` lists, compiled once."""
-    tests = [(_predicate(spec), None if primed is None else _PRIMES[spec]) for spec in side]
+def _side_test(side: tuple[ClassSpec, ...], primed: bool | None, scan=True) -> Callable[[Partition], bool]:
+    """The membership test of what `_side_members` lists; scan=False trusts the distinct parts."""
+    tests = [(_predicate(spec if scan else spec._replace(distinct=None)), None if primed is None else _PRIMES[spec])
+             for spec in side]
     if len(tests) == 1 and primed is None:
         return tests[0][0]
 
@@ -230,7 +226,7 @@ def _letter_sets(n: int, letters: tuple[ClassSpec, ...]) -> dict[str, tuple[Part
     """C, D, A, B listed from their patterns, then the primed sets among them."""
     _check_weight(n)
     sets = {name: _generate_members(n, spec) for name, spec in zip("CDAB", letters)}
-    primed = {name + "'": tuple(filter(_PRIMES[spec], sets[name])) for name, spec in zip("CDAB", letters) if spec in _PRIMES}
+    primed = {c + "'": tuple(filter(test, sets[c])) for c, test in zip("CDAB", map(_PRIMES.get, letters)) if test}
     return {**sets, **primed}
 
 
@@ -396,9 +392,8 @@ class Bijection:
     def name(self) -> str:
         return self.id.value
 
-    @cached_property
-    def _tests(self) -> tuple[Callable[[Partition], bool], Callable[[Partition], bool]]:
-        return _side_test(self.domain, self.primed), _side_test(self.codomain, self.primed)
+    def __post_init__(self) -> None:  # each side's test, compiled once
+        object.__setattr__(self, "_tests", [_side_test(side, self.primed) for side in (self.domain, self.codomain)])
 
     def in_domain(self, p: Partition) -> bool:
         return isinstance(p, Partition) and self._tests[0](p) and p.weight + self.weight_shift >= self.min_weight
@@ -485,7 +480,8 @@ def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bije
     ]
 
 
-def _total(bid, classes, shift: Bijection, pieces: tuple[Bijection, ...]) -> TotalDecomposition:
+def _total(bid: BijectionId, classes: tuple[PartitionClass, PartitionClass], shift: Bijection,
+           pieces: tuple[Bijection, ...]) -> TotalDecomposition:
     """The tagged decomposition of classes (domain, buckets) one identity's shift and pieces assemble.
 
     forward applies the piece whose domain holds p (p passes through if none
@@ -493,18 +489,22 @@ def _total(bid, classes, shift: Bijection, pieces: tuple[Bijection, ...]) -> Tot
     into the bucket at n - weight_shift, any other image stays in the bucket
     at n.  inverse lifts a low-bucket member with the shift's forward, then
     undoes the piece whose codomain holds the result.  Shift and pieces come
-    unguarded: the total's own guard already admits only its domain and
-    buckets, so one call runs one guard.
+    unguarded: the total's own guard admits only its domain and buckets, so
+    one call runs one guard, and as every image then lies in the same
+    family, the routing tests skip its distinct-parts scan.
     """
     low = -shift.weight_shift
+    domains = [(_side_test(piece.domain, piece.primed, False), piece.forward) for piece in pieces]
+    codomains = [(_side_test(piece.codomain, piece.primed, False), piece.inverse) for piece in pieces]
+    lands = _side_test(shift.codomain, None, False)
 
     def forward(p: Partition) -> TaggedPreimage:
-        q = next((piece.forward(p) for piece in pieces if piece._tests[0](p)), p)
-        return TaggedPreimage(low, shift.inverse(q)) if shift._tests[1](q) else TaggedPreimage(0, q)
+        q = next((move(p) for holds, move in domains if holds(p)), p)
+        return TaggedPreimage(low, shift.inverse(q)) if lands(q) else TaggedPreimage(0, q)
 
     def inverse(t: TaggedPreimage) -> Partition:
         q = shift.forward(t.partition) if t.offset == low else t.partition
-        return next((piece.inverse(q) for piece in pieces if piece._tests[1](q)), q)
+        return next((back(q) for holds, back in codomains if holds(q)), q)
 
     return TotalDecomposition(
         bid, *classes, (0, low), shift.min_weight, forward, inverse,

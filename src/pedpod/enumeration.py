@@ -101,7 +101,7 @@ class ClassListing:
 
 
 def _generate_members(n: int, spec: ClassSpec) -> tuple[Partition, ...]:
-    """The partitions of n >= 0 meeting the spec, in decreasing lex order."""
+    """The partitions of n meeting the spec, in decreasing lex order; none if n < 0."""
     distinct, lowest, skip_fours, top_parity, (fewest_top, most_top), gap, small = spec
     out: list[Partition] = []
     emit, wrap = out.append, Partition._unsafe

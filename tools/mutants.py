@@ -51,7 +51,8 @@ CATALOGUE = [
     # The listing's top-part loop: its second-part branch and its lowest stop.
     ("listing-gap1-not-pinned", ENUM, "max(v - 2, lowest), v - 1 == lowest)", "lowest)", None),
     ("listing-gap1-tail-always", ENUM, "max(v - 2, lowest), v - 1 == lowest)", "max(v - 2, lowest), True)", None),
-    ("listing-gap2-not-capped", ENUM, "fill((v,) * copies, left, v - (gap or 1))", "fill((v,) * copies, left, v - 1)", None),
+    ("listing-gap2-not-capped", ENUM, "fill((v,) * copies, left, v - (gap or 1))", "fill((v,) * copies, left, v - 1)",
+     None),
     ("listing-gap-repeats-top", ENUM, "most = 1 if gap or v % 2 == distinct", "most = 1 if v % 2 == distinct", None),
     ("listing-lone-top-gap1", ENUM, "if gap != 1 and v <= closes:", "if v <= closes:", None),
     ("listing-below-lowest", ENUM, "lowest - 1, -step)", "0, -step)", None),
@@ -73,8 +74,12 @@ CATALOGUE = [
      "read only on C members, whose parts are at least 2, so a second part 2 is the last part"),
     ("a-prime-loses-all-ones", BIJ, "p.count(1) in (2, len(p))", "p.count(1) == 2", None),
     ("b-prime-odd-weight", BIJ, "p[0] == 3 and p.weight % 2 == 0", "p[0] == 3 and p.weight % 2 == 1", None),
-    ("total-routes-by-codomain", BIJ, "for piece in pieces if piece._tests[0](p)", "for piece in pieces if piece._tests[1](p)",
-     None),
+    ("total-routes-by-codomain", BIJ, "(_side_test(piece.domain, piece.primed, False), piece.forward)",
+     "(_side_test(piece.codomain, piece.primed, False), piece.forward)", None),
+    ("guards-skip-the-family-scan", BIJ, "_predicate(spec if scan else spec._replace(distinct=None))",
+     "_predicate(spec._replace(distinct=None))", None),
+    ("routing-keeps-the-family-scan", BIJ, "_predicate(spec if scan else spec._replace(distinct=None))",
+     "_predicate(spec)", "the routing only reads members and images of the total's family, so the scan always passes"),
     # The guard and single CLASS_SPECS fields.
     ("guard-disabled", BIJ, "if not check(x):", "if False:", None),
     ("spec-d2-three-copies", CORE, "ClassSpec(0, top_parity=1, top_copies=(2, None))",
@@ -83,8 +88,8 @@ CATALOGUE = [
      "ClassSpec(1, top_parity=0, top_copies=(1, 2))", None),
     ("spec-pod-gt2-lowest-2", CORE, "ClassSpec(1, lowest=3)", "ClassSpec(1, lowest=2)", None),
     ("spec-four-regular-keeps-fours", CORE, "ClassSpec(skip_fours=True)", "ClassSpec()", None),
-    ("spec-d1-even-top", CORE, "PartitionClass.D1: ClassSpec(0, top_parity=1)", "PartitionClass.D1: ClassSpec(0, top_parity=0)",
-     None),
+    ("spec-d1-even-top", CORE, "PartitionClass.D1: ClassSpec(0, top_parity=1)",
+     "PartitionClass.D1: ClassSpec(0, top_parity=0)", None),
 ]
 
 
@@ -138,7 +143,8 @@ def main(argv: list[str]) -> int:
         records.append(record)
         note = f"  (equivalent: {equivalent})" if equivalent else f"  <- {record['failed']}" if record["failed"] else ""
         print(f"{record['status']:12s} {record['seconds']:6.1f}s  {name}{note}", flush=True)
-    gaps = [r["name"] for r in records if r["status"] == "not-applied" or (r["status"] == "survived" and not r["equivalent"])]
+    gaps = [r["name"] for r in records
+            if r["status"] == "not-applied" or (r["status"] == "survived" and not r["equivalent"])]
     counts = {status: sum(r["status"] == status for r in records) for status in ("killed", "survived", "not-applied")}
     print(f"{counts['killed']} killed, {counts['survived']} survived, {counts['not-applied']} not applied")
     if not argv:
