@@ -114,7 +114,7 @@ def _generate_members(n: int, spec: ClassSpec) -> tuple[Partition, ...]:
     def fill(prefix: tuple[int, ...], rest: int, largest: int, stop: int = lowest, tail: bool = True) -> None:
         # Every completion of prefix making rest from parts <= largest: each
         # part size v above stop, most copies first, then what is left from
-        # parts below v; a rest that only the lowest part can make is a tail.
+        # parts below v; a rest only the lowest part can make is a tail (if tail).
         for v in range(min(largest, rest), stop, -1):
             if skip_fours and v % 4 == 0:
                 continue

@@ -132,6 +132,7 @@ def test_every_head_pattern_lists_what_its_predicate_admits():
         for spec in specs:
             member = _predicate(spec)
             assert list(_generate_members(n, spec)) == [p for p in stream if member(p)], (n, spec)
+    assert all(_generate_members(-n, spec) == () for n in (1, 2, 5) for spec in specs)  # audits list n - 3 < 0
 
 def _pentagonal_totals(n_max):
     # Euler's recurrence: p(n) = sum_k (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
