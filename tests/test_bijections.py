@@ -334,6 +334,22 @@ def test_total_pairing_is_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TOTAL_PAIRING_SHA256
 
 
+# sha256 of every "name p image" line of the four exchange maps over their
+# domains at weights 0..30.
+EXCHANGE_PAIRING_SHA256 = "2c5cd16c0dc5b6e599709bea82f00e32050f7cc372c07b3a37eb0901d740dd41"
+
+
+def test_exchange_pairing_is_pinned():
+    lines = []
+    for name in ("thm2.exchange.CA", "thm2.exchange.DB", "thm2.exceptional", "thm5.exchange"):
+        mapping = get_bijection(name)
+        for n in range(0, 31):
+            for p in _side_members(n, mapping.domain, mapping.primed):
+                lines.append(f"{name} {p.to_text()} {mapping.forward(p).to_text()}")
+    assert len(lines) == 2704
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXCHANGE_PAIRING_SHA256
+
+
 def _refused(direction, x):
     try:
         direction(x)
