@@ -45,17 +45,21 @@ the gate, and one guard, `_guard`, puts every registered forward and inverse
 behind them; outside them it raises DomainError.  Audits and the letter
 sets list each side straight from its patterns.
 
+One builder, `_exchange`, makes the exchange C union D -> A union B of
+both families from one case table: it trades the two leading parts for a
+pair and fills the weight left over with 1s (thm2) or with 2s and at most
+one 1 (thm5); a negative filler weight raises RuntimeError.  thm2 registers
+its exchange as three pieces, split by the primed sets, and thm5 as one.
+
 `_total` assembles thm2.total and thm5.total from their identity's
-unguarded plain maps: the exchange pieces' domain tests route a domain
-member to its piece, and the shift map's codomain test sends the image
-down into the n-3 bucket.  Offsets and gate are read off the shift and
-the pieces, and one call runs the total's guard only.
+unguarded shift map and exchange: one test of C union D decides whether a
+domain member is exchanged, and the shift map's codomain test sends the
+image down into the n-3 bucket.  Offsets, gate and `reconstructed` are
+read off the shift, and one call runs the total's guard only.
 
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
-propagate.  Exchange-map images absorb any leftover weight as filler parts
-of size 2; the filler count is half the weight deficit and an explicit
-check enforces that the deficit is even and non-negative.
+propagate.
 """
 
 from __future__ import annotations
@@ -149,7 +153,10 @@ def _shift_down(q: Partition) -> Partition:
 
 
 def _sub(p: Partition) -> Partition:
-    return Partition((p[0] - 2,) + p[1:])  # may need re-sorting
+    """Lower the top part by 2; below a second part L-1 it swaps places with it (see _unsub)."""
+    if len(p) > 1 and p[1] == p[0] - 1:
+        return _exact((p[1], p[0] - 2) + p[2:])
+    return _exact((p[0] - 2,) + p[1:])
 
 
 def _unsub(top: int) -> Callable[[Partition], Partition]:
@@ -230,70 +237,6 @@ def _letter_sets(n: int, letters: tuple[ClassSpec, ...]) -> dict[str, tuple[Part
     return {**sets, **primed}
 
 
-# thm2.exchange.CA: trade an even largest part 2l for a doubled second part
-# plus filler 1s.  C minus C' onto A minus A'.
-
-
-def b2_exchange_ca_forward(p: Partition) -> Partition:
-    largest, second, tail = p[0], p[1], tuple(p[2:])
-    if second % 2 == 1:
-        return _exact((second, second) + tail + (1,) * (largest - second))
-    return _exact((second - 1, second - 1) + tail + (1,) * (largest - second + 2))
-
-
-def b2_exchange_ca_inverse(q: Partition) -> Partition:
-    ones = q.count(1)
-    body = tuple(q[: len(q) - ones])
-    a = q[0]
-    if ones % 2 == 1:
-        return _exact((a + ones,) + body[1:])
-    return _exact((a + ones - 1, a + 1) + body[2:])
-
-
-# thm2.exchange.DB: push the odd largest part 2l+1 down onto the second
-# part, again absorbing the difference as filler 1s.  D minus D' onto B
-# minus B'.
-
-
-def b2_exchange_db_forward(p: Partition) -> Partition:
-    largest, second, tail = p[0], p[1], tuple(p[2:])
-    if second % 2 == 1:
-        return _exact((second + 2, second + 1) + tail + (1,) * (largest - second - 3))
-    return _exact((second + 1, second) + tail + (1,) * (largest - second - 1))
-
-
-def b2_exchange_db_inverse(q: Partition) -> Partition:
-    ones = q.count(1)
-    body = tuple(q[: len(q) - ones])
-    a = q[0]
-    if ones % 2 == 1:
-        return _exact((a + ones + 1, a - 2) + body[2:])
-    return _exact((a + ones, a - 1) + body[2:])
-
-
-# thm2.exceptional: the finite trade between the primed sets.
-
-
-def b2_exceptional_forward(p: Partition) -> Partition:
-    n = p.weight
-    if len(p) == 1:
-        return _exact((1,) * n)
-    if p[0] % 2 == 0:  # (n-2, 2)
-        return _exact((3, 2) + (1,) * (n - 5))
-    # (L, L-2, tail) with L odd
-    return _exact((p[0] - 2, p[0] - 2) + tuple(p[2:]) + (1, 1))
-
-
-def b2_exceptional_inverse(q: Partition) -> Partition:
-    n = q.weight
-    if q[0] == 1:
-        return _exact((n,))
-    if q[0] == 3 and q[1] == 2:
-        return _exact((n - 2, 2))
-    # (a, a, tail, 1, 1): drop the two 1s and raise one copy of a by 2
-    return _exact((q[0] + 2,) + tuple(q[1:-2]))
-
-
 def thm2_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     """Materialize the eight thm2 letter sets at weight n, each a subset of PED(n)."""
     return _letter_sets(n, _THM2)
@@ -304,64 +247,65 @@ def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     return _letter_sets(n, _THM5)
 
 
-# thm5.exchange: C union D -> A union B.  Every image carries the tail
-# verbatim and absorbs the weight difference as filler 2s; four of the six
-# branches also append a single 1.
+def _exchange(distinct: int, small: int) -> tuple[Callable[[Partition], Partition], Callable[[Partition], Partition]]:
+    """The exchange C union D -> A union B of a family, as (forward, inverse).
 
+    distinct is the parity whose parts the family keeps distinct (0 for
+    thm2's PED, 1 for thm5's POD), small the largest filler part.  forward
+    replaces the two leading parts (L, s) by the pair the table below gives
+    (a singleton (n) keeps none), keeps the tail, and fills the rest of the
+    weight with parts small, plus a 1 when small is 2 and that rest is odd.
 
-def _pad_with_twos(head: tuple[int, ...], total: int, append_one: bool) -> Partition:
-    spoken_for = sum(head) + (1 if append_one else 0)
-    deficit = total - spoken_for
-    if deficit < 0 or deficit % 2:
-        raise RuntimeError(
-            f"filler deficit {deficit} is not a non-negative even number: {(head, total, append_one)}"
-        )
-    parts = head + (2,) * (deficit // 2) + ((1,) if append_one else ())
-    return _exact(parts)
+        C, s = small + 1            (s+1, s)
+        C, s of the other parity    (s, s)
+        C, s of parity distinct     (s-1, s-1)
+        D, s of parity distinct     (s+1, s)
+        D, s = L - 2                (s, s)
+        D, otherwise                (s+2, s+1)
 
+    inverse reads the row back from the filler weight and from whether the
+    image's top part repeats (the A side, a pair (a, a)) or not (the B side).
+    """
+    lowest = small + 1  # the smallest part of C and D, and so of every pair and tail
+    fillers = range(1, lowest)
 
-def b5_exchange_forward(p: Partition) -> Partition:
-    n = p.weight
-    largest = p[0]
-    second = p[1] if len(p) > 1 else 0
-    tail = tuple(p[2:])
-    if largest % 2 == 1:
-        if second == 0:
-            return _pad_with_twos((), n, True)
-        if second == 3:  # the tail is necessarily empty here
-            return _pad_with_twos((4, 3), n, True)
-        if second % 2 == 0:
-            return _pad_with_twos((second, second) + tail, n, True)
-        return _pad_with_twos((second - 1, second - 1) + tail, n, False)
-    if second == 0:
-        return _pad_with_twos((), n, False)
-    if second % 2 == 1:
-        return _pad_with_twos((second + 1, second) + tail, n, False)
-    if largest - second == 2:
-        return _pad_with_twos((second, second) + tail, n, False)
-    return _pad_with_twos((second + 2, second + 1) + tail, n, True)
+    def forward(p: Partition) -> Partition:
+        top, second = p[0], p[1] if len(p) > 1 else 0
+        if not second:
+            pair = ()
+        elif top % 2 == distinct:  # C
+            if second == lowest:
+                pair = (second + 1, second)
+            elif second % 2 != distinct:
+                pair = (second, second)
+            else:
+                pair = (second - 1, second - 1)
+        elif second % 2 == distinct:  # D
+            pair = (second + 1, second)
+        elif top - second == 2:
+            pair = (second, second)
+        else:
+            pair = (second + 2, second + 1)
+        filler = top + second - sum(pair)
+        if filler < 0:
+            raise RuntimeError(f"negative filler weight {filler}: {p}")
+        return _exact(pair + p[2:] + (small,) * (filler // small) + (1,) * (filler % small))
 
+    def inverse(q: Partition) -> Partition:
+        cut = len(q) - sum(map(q.count, fillers))
+        body, filler = q[:cut], sum(q[cut:])
+        if not body:  # nothing but filler: the preimage was the singleton (n)
+            return _exact((filler,))
+        a = q[0]
+        if q[1] == a:  # A: the pair (s, s) from C or from D with s = L - 2, or (s-1, s-1) from C
+            if filler % 2 or filler == 2:
+                return _exact((a + filler,) + body[1:])
+            return _exact((a + filler - 1, a + 1) + body[2:])
+        if filler % 2 and a != lowest + 1:  # B: the pair (s+2, s+1) from D
+            return _exact((a + filler + 1, a - 2) + body[2:])
+        return _exact((a + filler, a - 1) + body[2:])  # the pair (s+1, s), from D or the C edge
 
-def b5_exchange_inverse(q: Partition) -> Partition:
-    total = q.weight
-    if q[0] == 2:  # nothing but filler: the preimage was the singleton (n)
-        return _exact((total,))
-    ones = q.count(1)
-    twos = q.count(2)
-    body = tuple(q[: len(q) - ones - twos])
-    a = q[0]
-    if q[1] == a:  # A side: even largest repeated, so a part 1 or a filler 2
-        if ones:
-            return _exact((a + 2 * twos + 1,) + body[1:])
-        if twos == 1:
-            return _exact((a + 2,) + body[1:])
-        return _exact((a + 2 * twos - 1, a + 1) + body[2:])
-    # B side: shape (a, a-1, ...)
-    if ones:
-        if a == 4:
-            return _exact((total - 3, 3))
-        return _exact((a + 2 * twos + 2, a - 2) + body[2:])
-    return _exact((a + 2 * twos,) + body[1:])
+    return forward, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -481,54 +425,52 @@ def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bije
 
 
 def _total(bid: BijectionId, classes: tuple[PartitionClass, PartitionClass], shift: Bijection,
-           pieces: tuple[Bijection, ...]) -> TotalDecomposition:
-    """The tagged decomposition of classes (domain, buckets) one identity's shift and pieces assemble.
+           letters: tuple[ClassSpec, ...], exchange: tuple[Callable, Callable]) -> TotalDecomposition:
+    """The tagged decomposition of classes (domain, buckets) one identity's shift and exchange assemble.
 
-    forward applies the piece whose domain holds p (p passes through if none
-    does); an image in the shift's codomain goes down the shift's inverse
-    into the bucket at n - weight_shift, any other image stays in the bucket
-    at n.  inverse lifts a low-bucket member with the shift's forward, then
-    undoes the piece whose codomain holds the result.  Shift and pieces come
-    unguarded: the total's own guard admits only its domain and buckets, so
-    one call runs one guard, and as every image then lies in the same
-    family, the routing tests skip its distinct-parts scan.
+    forward exchanges p when it lies in C union D (p passes through
+    otherwise); an image in the shift's codomain goes down the shift's
+    inverse into the bucket at n - weight_shift, any other image stays in
+    the bucket at n.  inverse lifts a low-bucket member with the shift's
+    forward, then undoes the exchange when the result lies in A union B.
+    Shift and exchange come unguarded: the total's own guard admits only its
+    domain and buckets, so one call runs one guard, and as every image then
+    lies in the same family, the routing tests skip its distinct-parts scan.
     """
     low = -shift.weight_shift
-    domains = [(_side_test(piece.domain, piece.primed, False), piece.forward) for piece in pieces]
-    codomains = [(_side_test(piece.codomain, piece.primed, False), piece.inverse) for piece in pieces]
+    c, d, a, b = letters
+    exchanged, restored = _side_test((c, d), None, False), _side_test((a, b), None, False)
     lands = _side_test(shift.codomain, None, False)
+    move, back = exchange
 
     def forward(p: Partition) -> TaggedPreimage:
-        q = next((move(p) for holds, move in domains if holds(p)), p)
+        q = move(p) if exchanged(p) else p
         return TaggedPreimage(low, shift.inverse(q)) if lands(q) else TaggedPreimage(0, q)
 
     def inverse(t: TaggedPreimage) -> Partition:
         q = shift.forward(t.partition) if t.offset == low else t.partition
-        return next((back(q) for holds, back in codomains if holds(q)), q)
+        return back(q) if restored(q) else q
 
-    return TotalDecomposition(
-        bid, *classes, (0, low), shift.min_weight, forward, inverse,
-        reconstructed=shift.reconstructed or any(piece.reconstructed for piece in pieces),
-    )
+    return TotalDecomposition(bid, *classes, (0, low), shift.min_weight, forward, inverse, shift.reconstructed)
 
 
 def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
     B, C = BijectionId, PartitionClass
     c2, d2, a2, b2 = _THM2
     c5, d5, a5, b5 = _THM5
+    ex2, ex5 = _exchange(0, 1), _exchange(1, 2)
     raw = {entry.id: entry for entry in [
         *_mirror_family(C.PED, 1, (C.D1, C.D2, C.D3), (1, 1, 1, 1),
                         (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
         *_mirror_family(C.POD, 0, (C.O1, C.O2, C.O3), (2, 5, 3, 3),
                         (B.B4, B.B5_SHIFT, B.B6_ADD, B.B6_SUB), (True, False, True, True)),
-        Bijection(B.B2_EXCHANGE_CA, (c2,), (a2,), 0, 0, b2_exchange_ca_forward, b2_exchange_ca_inverse, False),
-        Bijection(B.B2_EXCHANGE_DB, (d2,), (b2,), 0, 0, b2_exchange_db_forward, b2_exchange_db_inverse, False),
-        Bijection(B.B2_EXCEPTIONAL, (c2, d2), (a2, b2), 0, 0, b2_exceptional_forward, b2_exceptional_inverse, True),
-        Bijection(B.B5_EXCHANGE, (c5, d5), (a5, b5), 0, 0, b5_exchange_forward, b5_exchange_inverse),
+        Bijection(B.B2_EXCHANGE_CA, (c2,), (a2,), 0, 0, *ex2, False),
+        Bijection(B.B2_EXCHANGE_DB, (d2,), (b2,), 0, 0, *ex2, False),
+        Bijection(B.B2_EXCEPTIONAL, (c2, d2), (a2, b2), 0, 0, *ex2, True),
+        Bijection(B.B5_EXCHANGE, (c5, d5), (a5, b5), 0, 0, *ex5),
     ]}
-    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, (C.PED_GT1, C.D2), raw[B.B2_SHIFT],
-                             (raw[B.B2_EXCHANGE_CA], raw[B.B2_EXCHANGE_DB], raw[B.B2_EXCEPTIONAL]))
-    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, (C.POD_GT2, C.O2), raw[B.B5_SHIFT], (raw[B.B5_EXCHANGE],))
+    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, (C.PED_GT1, C.D2), raw[B.B2_SHIFT], _THM2, ex2)
+    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, (C.POD_GT2, C.O2), raw[B.B5_SHIFT], _THM5, ex5)
     return {bid: _guard(raw[bid]) for bid in BijectionId}
 
 

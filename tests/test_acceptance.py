@@ -7,13 +7,7 @@ on a passing suite.
 
 import time
 
-from pedpod.bijections import (
-    b2_exceptional_forward,
-    b2_exchange_ca_forward,
-    b2_exchange_db_forward,
-    bijection_names,
-    thm2_sets,
-)
+from pedpod.bijections import bijection_names, get_bijection, thm2_sets
 from pedpod.core import PartitionClass
 from pedpod.counting import class_count, count_table
 from pedpod.enumeration import partitions_of
@@ -73,6 +67,9 @@ def test_criterion_4_all_bijection_audits_to_30():
 
 
 def test_criterion_5_thm2_structure_to_30():
+    b2_exchange_ca_forward = get_bijection("thm2.exchange.CA").forward
+    b2_exchange_db_forward = get_bijection("thm2.exchange.DB").forward
+    b2_exceptional_forward = get_bijection("thm2.exceptional").forward
     bad = []
     for n in range(0, 31):
         s = {k: set(v) for k, v in thm2_sets(n).items()}

@@ -15,16 +15,8 @@ from pedpod.bijections import (
     TaggedPreimage,
     TotalDecomposition,
     _exact,
-    _pad_with_twos,
+    _exchange,
     _side_members,
-    b2_exceptional_forward,
-    b2_exceptional_inverse,
-    b2_exchange_ca_forward,
-    b2_exchange_ca_inverse,
-    b2_exchange_db_forward,
-    b2_exchange_db_inverse,
-    b5_exchange_forward,
-    b5_exchange_inverse,
     bijection_names,
     get_bijection,
     thm2_sets,
@@ -35,8 +27,8 @@ from pedpod.enumeration import all_partitions, class_members, partitions_of
 from pedpod.verification import audit_bijection_range
 
 
-# The mirrored maps and the totals exist only as registry entries, so these
-# names reach the guarded entries.
+# Every map exists only as a registry entry, so these names reach the
+# guarded entries.
 def _directions(name):
     mapping = get_bijection(name)
     return mapping.forward, mapping.inverse
@@ -44,11 +36,15 @@ def _directions(name):
 
 b1_forward, b1_inverse = _directions("thm1.add")
 b2_shift_forward, b2_shift_inverse = _directions("thm2.shift")
+b2_exchange_ca_forward, b2_exchange_ca_inverse = _directions("thm2.exchange.CA")
+b2_exchange_db_forward, b2_exchange_db_inverse = _directions("thm2.exchange.DB")
+b2_exceptional_forward, b2_exceptional_inverse = _directions("thm2.exceptional")
 b2_total_forward, b2_total_inverse = _directions("thm2.total")
 b3_add_forward, _ = _directions("thm3.add")
 b3_sub_forward, _ = _directions("thm3.sub")
 b4_forward, b4_inverse = _directions("thm4.add")
 b5_shift_forward, _ = _directions("thm5.shift")
+b5_exchange_forward, b5_exchange_inverse = _directions("thm5.exchange")
 b5_total_forward, b5_total_inverse = _directions("thm5.total")
 b6_add_forward, _ = _directions("thm6.add")
 b6_sub_forward, _ = _directions("thm6.sub")
@@ -304,7 +300,8 @@ def test_totals_take_their_fields_from_shift_and_pieces():
 
 
 def test_total_pieces_have_disjoint_shapes():
-    # Disjoint sides make a total's first-match routing independent of order.
+    # Disjoint pieces, which also tile the letter unions (the test below),
+    # put each member a total exchanges in exactly one piece.
     for bid, (shift_id, piece_ids) in TOTAL_PARTS.items():
         t, shift = REGISTRY[bid], REGISTRY[shift_id]
         pieces = [REGISTRY[piece_id] for piece_id in piece_ids]
@@ -518,6 +515,22 @@ def test_map_sides_are_listed_as_their_definitions():
                 assert _side_members(n, side, mapping.primed) == expected, (mapping.name, n)
 
 
+def test_total_pieces_tile_the_letter_unions():
+    # A total exchanges every member of C union D with one test, and undoes
+    # the exchange on every member of A union B, so its pieces' sides must
+    # merge to exactly those unions.
+    letters = {BijectionId.B2_TOTAL: THM2_LETTERS, BijectionId.B5_TOTAL: THM5_LETTERS}
+    for bid, (_, piece_ids) in TOTAL_PARTS.items():
+        pieces = [REGISTRY[piece_id] for piece_id in piece_ids]
+        unions = (_either(letters[bid]["C"], letters[bid]["D"]), _either(letters[bid]["A"], letters[bid]["B"]))
+        for n in range(31):
+            stream = list(partitions_of(n))
+            for side, union in zip(("domain", "codomain"), unions):
+                merged = sorted((p for piece in pieces for p in _side_members(n, getattr(piece, side), piece.primed)),
+                                reverse=True)
+                assert merged == [p for p in stream if union(p)], (bid, side, n)
+
+
 def test_guards_admit_every_listed_member():
     # The listings and the guards read the same patterns, so a pattern too
     # narrow in both still fails the definitions above; this ties the two.
@@ -561,11 +574,14 @@ def test_image_invariants_raise():
     assert type(_exact((3, 3, 1))) is Partition
     with pytest.raises(RuntimeError, match="non-positive"):
         _exact((2, 0))
-    with pytest.raises(RuntimeError, match="deficit -1"):
-        _pad_with_twos((5,), 4, False)
-    with pytest.raises(RuntimeError, match="deficit 3"):
-        _pad_with_twos((5,), 8, False)
-    assert _pad_with_twos((5,), 10, True) == P(5, 2, 2, 1)
+    # (3, 3) is no exchange domain member: the guard refuses it, and the raw
+    # recipes' pairs (5, 4) and (6, 5) outweigh (3, 3) and (4, 4).
+    with pytest.raises(DomainError):
+        b2_exchange_db_forward(P(3, 3))
+    with pytest.raises(RuntimeError, match=r"negative filler weight -3: \(3,3\)"):
+        _exchange(0, 1)[0](P(3, 3))
+    with pytest.raises(RuntimeError, match=r"negative filler weight -3: \(4,4\)"):
+        _exchange(1, 2)[0](P(4, 4))
 
 
 def test_image_invariants_survive_optimize(pedpod_env):
