@@ -247,7 +247,7 @@ def thm5_sets(n: int) -> dict[str, tuple[Partition, ...]]:
     return _letter_sets(n, _THM5)
 
 
-def _exchange(distinct: int, small: int) -> tuple[Callable[[Partition], Partition], Callable[[Partition], Partition]]:
+def _exchange(distinct: int, small: int) -> tuple[Callable, Callable]:
     """The exchange C union D -> A union B of a family, as (forward, inverse).
 
     distinct is the parity whose parts the family keeps distinct (0 for

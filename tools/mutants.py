@@ -74,12 +74,33 @@ CATALOGUE = [
      "read only on C members, whose parts are at least 2, so a second part 2 is the last part"),
     ("a-prime-loses-all-ones", BIJ, "p.count(1) in (2, len(p))", "p.count(1) == 2", None),
     ("b-prime-odd-weight", BIJ, "p[0] == 3 and p.weight % 2 == 0", "p[0] == 3 and p.weight % 2 == 1", None),
-    ("total-routes-by-codomain", BIJ, "(_side_test(piece.domain, piece.primed, False), piece.forward)",
-     "(_side_test(piece.codomain, piece.primed, False), piece.forward)", None),
+    ("total-routes-by-codomain", BIJ, "exchanged, restored = _side_test((c, d)",
+     "exchanged, restored = _side_test((a, b)", None),
     ("guards-skip-the-family-scan", BIJ, "_predicate(spec if scan else spec._replace(distinct=None))",
      "_predicate(spec._replace(distinct=None))", None),
     ("routing-keeps-the-family-scan", BIJ, "_predicate(spec if scan else spec._replace(distinct=None))",
      "_predicate(spec)", "the routing only reads members and images of the total's family, so the scan always passes"),
+    # The exchange case table: each pair, the C edge, the inverse's cases, the filler and _sub's swap.
+    ("exchange-singleton-keeps-top", BIJ, "pair = ()", "pair = (top,)", None),
+    ("exchange-c-edge-pair", BIJ, "pair = (second + 1, second)\n            elif second % 2 != distinct:",
+     "pair = (second, second)\n            elif second % 2 != distinct:", None),
+    ("exchange-c-repeatable-pair", BIJ, "elif second % 2 != distinct:\n                pair = (second, second)",
+     "elif second % 2 != distinct:\n                pair = (second - 1, second - 1)", None),
+    ("exchange-c-distinct-pair", BIJ, "pair = (second - 1, second - 1)\n        elif",
+     "pair = (second, second)\n        elif", None),
+    ("exchange-d-distinct-pair", BIJ, "# D\n            pair = (second + 1, second)",
+     "# D\n            pair = (second + 2, second + 1)", None),
+    ("exchange-d-gap-2-pair", BIJ, "top - second == 2:\n            pair = (second, second)",
+     "top - second == 2:\n            pair = (second + 1, second)", None),
+    ("exchange-d-other-pair", BIJ, "else:\n            pair = (second + 2, second + 1)",
+     "else:\n            pair = (second + 1, second)", None),
+    ("exchange-c-edge-at-small", BIJ, "if second == lowest:", "if second == small:", None),
+    ("exchange-negative-filler-unchecked", BIJ, "if filler < 0:", "if False:", None),
+    ("exchange-no-odd-1", BIJ, " + (1,) * (filler % small))", ")", None),
+    ("exchange-body-cut-keeps-1s", BIJ, "fillers = range(1, lowest)", "fillers = range(1, small)", None),
+    ("exchange-a-drops-filler-2", BIJ, "if filler % 2 or filler == 2:", "if filler % 2:", None),
+    ("exchange-b-prime-at-lowest", BIJ, "a != lowest + 1:", "a != lowest:", None),
+    ("sub-swaps-below-l-minus-2", BIJ, "p[1] == p[0] - 1:", "p[1] == p[0] - 2:", None),
     # The guard and single CLASS_SPECS fields.
     ("guard-disabled", BIJ, "if not check(x):", "if False:", None),
     ("spec-d2-three-copies", CORE, "ClassSpec(0, top_parity=1, top_copies=(2, None))",
