@@ -70,8 +70,8 @@ from heapq import merge
 from operator import ge
 from typing import Callable
 
-from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _predicate, is_member
-from .enumeration import _check_weight, _generate_members
+from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _check_weight, _predicate, is_member
+from .enumeration import _generate_members
 
 
 class DomainError(ValueError):

@@ -73,16 +73,14 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} is capped at {cap}, got {value}")
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     _check_cap("count --to", args.to, COUNT_TO_CAP)
-    _render(count_table(PartitionClass.from_name(args.cls), args.to, args.backend), args.format)
-    return 0
+    return count_table(PartitionClass.from_name(args.cls), args.to, args.backend)
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(args):
     _check_cap("list --n", args.n, LIST_N_CAP)
-    _render(class_members(args.n, PartitionClass.from_name(args.cls)), args.format)
-    return 0
+    return class_members(args.n, PartitionClass.from_name(args.cls))
 
 
 class _Applied(NamedTuple):
@@ -101,7 +99,7 @@ class _Applied(NamedTuple):
         return self.text
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args):
     mapping = get_bijection(args.bijection)
     p = parse_partition(args.partition)
     is_total = isinstance(mapping, TotalDecomposition)
@@ -123,28 +121,21 @@ def _cmd_apply(args) -> int:
         text = result.to_text()
     payload["bijection"] = mapping.name
     payload["direction"] = "inverse" if args.inverse else "forward"
-    _render(_Applied(payload, text), args.format)
-    return 0
+    return _Applied(payload, text)
 
 
-def _cmd_audit(args) -> int:
-    report = audit_bijection_range(args.bijection, getattr(args, "from"), args.to)
-    _render(report, args.format)
-    return 0 if report.overall_pass else 1
+def _cmd_audit(args):
+    return audit_bijection_range(args.bijection, getattr(args, "from"), args.to)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     _check_cap("verify --to", args.to, COUNT_TO_CAP)
-    report = verify_identity(args.identity, getattr(args, "from"), args.to, args.backend)
-    _render(report, args.format)
-    return 0 if report.overall_pass else 1
+    return verify_identity(args.identity, getattr(args, "from"), args.to, args.backend)
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args):
     _check_cap("crosscheck --to", args.to, COUNT_TO_CAP)
-    report = cross_check_counts(args.to)
-    _render(report, args.format)
-    return 0 if report.overall_pass else 1
+    return cross_check_counts(args.to)
 
 
 def _add_format(sub) -> None:
@@ -210,10 +201,12 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        _render(report, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if getattr(report, "overall_pass", True) else 1  # a count, listing or apply always passes
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ part of L-1 or none above L-2, and ask for some part at most `small`.
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
@@ -180,6 +181,31 @@ def _predicate(spec: ClassSpec) -> Callable[[Partition], bool]:
 
 
 _PREDICATES = {cls: _predicate(spec) for cls, spec in CLASS_SPECS.items()}
+
+
+def _check_weight(n: int, name: str = "n") -> None:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {n!r}")
+
+
+def _plain(record, **keys: str) -> dict:
+    """A record's JSON object: its dataclass fields in declaration order, each under its name or its key in `keys`.
+
+    A class is written as its name and a tuple as a list, in which a tuple
+    (a partition) is a list and a record is its own object.
+    """
+
+    def value(x):
+        if isinstance(x, PartitionClass):
+            return x.value
+        if not isinstance(x, tuple):
+            return x
+        first = x[0] if x else None  # a tuple field holds one kind: partitions, records or scalars
+        if isinstance(first, tuple):
+            return [list(v) for v in x]
+        return [_plain(v) for v in x] if is_dataclass(first) else list(x)
+
+    return {keys.get(field.name, field.name): value(getattr(record, field.name)) for field in fields(record)}
 
 
 def _not_a_class(selector: object) -> ValueError:

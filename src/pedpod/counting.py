@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import add, sub
 
-from .core import CLASS_SPECS, ClassSpec, PartitionClass, _not_a_class
+from .core import CLASS_SPECS, ClassSpec, PartitionClass, _check_weight, _not_a_class, _plain
 
 BACKENDS = ("enum", "dp", "series")
 _TAGS = tuple(name.upper() for name in BACKENDS)  # as normalize_backend returns them
@@ -239,9 +239,9 @@ class CountTable:
     """Counts for one class at weights 0..n_max, tagged with the backend."""
 
     partition_class: PartitionClass
+    backend: str
     n_max: int
     counts: tuple[int, ...]
-    backend: str
 
     def _grid(self) -> list[list[str]]:
         return [["n", "count"]] + [[str(n), str(c)] for n, c in enumerate(self.counts)]
@@ -253,12 +253,7 @@ class CountTable:
         return _aligned(f"{self.partition_class.value} counts, backend={self.backend}", self._grid())
 
     def to_obj(self) -> dict:
-        return {
-            "class": self.partition_class.value,
-            "backend": self.backend,
-            "n_max": self.n_max,
-            "counts": list(self.counts),
-        }
+        return _plain(self, partition_class="class")
 
 
 def _aligned(title: str, grid: list[list[str]]) -> str:
@@ -357,16 +352,14 @@ def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tup
 
 def count_table(partition_class: PartitionClass, n_max: int, backend: str = "dp") -> CountTable:
     """The 0..n_max count table for a class with the chosen backend."""
-    if type(n_max) is not int or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative int, got {n_max!r}")
+    _check_weight(n_max, "n_max")
     tag = normalize_backend(backend)
     counts = _stored_counts(partition_class, n_max, tag)
-    return CountTable(partition_class, n_max, counts[: n_max + 1], tag)
+    return CountTable(partition_class, tag, n_max, counts[: n_max + 1])
 
 
 def class_count(partition_class: PartitionClass, n: int, backend: str = "dp") -> int:
     """The number of partitions of n in the class."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a non-negative int, got {n!r}")
+    _check_weight(n)
     return _stored_counts(partition_class, n, normalize_backend(backend))[n]
 

@@ -29,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _not_a_class
-
-
-def _check_weight(n: int) -> None:
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a non-negative int, got {n!r}")
+from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _check_weight, _not_a_class, _plain
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -93,11 +88,7 @@ class ClassListing:
         return "\n".join([p.to_text() for p in self.members])
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "class": self.partition_class.value,
-            "members": [list(p) for p in self.members],
-        }
+        return _plain(self, partition_class="class")
 
 
 def _generate_members(n: int, spec: ClassSpec) -> tuple[Partition, ...]:

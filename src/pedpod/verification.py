@@ -23,14 +23,17 @@ weight n - weight_shift and codomain at n, and a tagged decomposition's
 domain and each bucket, tagged with its offset.  This is exactly the
 counting argument the identities rest on.
 
-A record's JSON object is its dataclass fields in declaration order, so a
-field added to IdentityRow, AuditRecord or CrossCheckRecord reaches the JSON
-with no further code.
+Every report and record serializes from its own dataclass fields, in
+declaration order, through `core._plain`: the JSON object of an
+IdentityReport, AuditReport or CrossCheckReport, and of each IdentityRow,
+AuditRecord or CrossCheckRecord in it, is its fields, with `identity_id`
+written as "identity".  A field added to any of them reaches the JSON with
+no further code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .bijections import (
     Bijection,
@@ -40,7 +43,7 @@ from .bijections import (
     _side_members,
     get_bijection,
 )
-from .core import CLASS_SPECS, Partition, PartitionClass
+from .core import CLASS_SPECS, Partition, PartitionClass, _check_weight, _plain
 from .counting import ENUM_CAP, SERIES_CLASSES, _aligned, count_table, normalize_backend
 
 _AUDIT_WEIGHT_CAP = 50
@@ -126,10 +129,9 @@ def identity_ids() -> list[str]:
     return list(IDENTITIES)
 
 
-def _plain(record) -> dict:
-    """A record's fields in declaration order, tuples as lists: its JSON object."""
-    obj = {field.name: getattr(record, field.name) for field in fields(record)}
-    return {key: list(value) if isinstance(value, tuple) else value for key, value in obj.items()}
+def _check_range(n_lo: int, n_hi: int) -> None:
+    if type(n_lo) is not int or type(n_hi) is not int or n_lo < 0 or n_hi < n_lo:
+        raise ValueError(f"need ints 0 <= n_lo <= n_hi, got {n_lo!r} and {n_hi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +157,18 @@ class IdentityRow:
 class IdentityReport:
     identity_id: str
     description: str
-    term_labels: tuple[str, ...]
     n_lo: int
     n_hi: int
     threshold: int
     backend: str
-    rows: tuple[IdentityRow, ...]
     overall_pass: bool
+    rows: tuple[IdentityRow, ...]
 
     def to_obj(self) -> dict:
-        return {
-            "identity": self.identity_id,
-            "description": self.description,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "threshold": self.threshold,
-            "backend": self.backend,
-            "overall_pass": self.overall_pass,
-            "rows": [_plain(r) for r in self.rows],
-        }
+        return _plain(self, identity_id="identity")
 
     def _grid(self) -> list[list[str]]:
-        head = ["n", *self.term_labels, "lhs", "rhs", "status"]
+        head = ["n", *IDENTITIES[self.identity_id].term_labels(), "lhs", "rhs", "status"]
         return [head] + [
             [str(r.n), *map(str, r.lhs_values), str(r.lhs_total), str(r.rhs_value), r.status()] for r in self.rows
         ]
@@ -201,8 +193,7 @@ def verify_identity(
 ) -> IdentityReport:
     """Compare both sides of an identity for every n in [n_lo, n_hi]."""
     spec = get_identity(identity)
-    if type(n_lo) is not int or type(n_hi) is not int or n_lo < 0 or n_hi < n_lo:
-        raise ValueError(f"need ints 0 <= n_lo <= n_hi, got {n_lo!r} and {n_hi!r}")
+    _check_range(n_lo, n_hi)
     reach_of = {}  # each class's largest offset, at least 0
     for cls, off in (*spec.lhs, spec.rhs):
         reach_of[cls] = max(reach_of.get(cls, 0), off)
@@ -230,15 +221,7 @@ def verify_identity(
         )
     overall = all(r.equal for r in rows if r.checked)
     return IdentityReport(
-        spec.identity_id,
-        spec.describe(),
-        tuple(spec.term_labels()),
-        n_lo,
-        n_hi,
-        spec.threshold,
-        tag.lower(),
-        tuple(rows),
-        overall,
+        spec.identity_id, spec.describe(), n_lo, n_hi, spec.threshold, tag.lower(), overall, tuple(rows)
     )
 
 
@@ -261,21 +244,13 @@ class AuditReport:
     kind: str  # "bijection" or "total"
     n_lo: int
     n_hi: int
-    records: tuple[AuditRecord, ...]
-    overall_pass: bool
+    backend: str  # "enum": an audit lists both sides outright
     reconstructed: bool
+    overall_pass: bool
+    records: tuple[AuditRecord, ...]
 
     def to_obj(self) -> dict:
-        return {
-            "subject": self.subject,
-            "kind": self.kind,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "backend": "enum",  # audits always list both sides outright
-            "reconstructed": self.reconstructed,
-            "overall_pass": self.overall_pass,
-            "records": [_plain(r) for r in self.records],
-        }
+        return _plain(self)
 
     def to_csv(self) -> str:
         lines = ["n,domain_size,codomain_size,passed"]
@@ -369,20 +344,13 @@ def _cap_failures(records: list[AuditRecord]) -> list[AuditRecord]:
 def audit_bijection_range(key: "BijectionId | str", n_lo: int, n_hi: int) -> AuditReport:
     """Exhaustively audit one map for every identity weight in [n_lo, n_hi]."""
     mapping = get_bijection(key)
-    if type(n_lo) is not int or type(n_hi) is not int or n_lo < 0 or n_hi < n_lo:
-        raise ValueError(f"need ints 0 <= n_lo <= n_hi, got {n_lo!r} and {n_hi!r}")
+    _check_range(n_lo, n_hi)
     if n_hi > _AUDIT_WEIGHT_CAP:
         raise ValueError(f"audits list both sides of a map in full; n_hi is capped at {_AUDIT_WEIGHT_CAP}")
     records = _cap_failures([_audit_one(mapping, n) for n in range(n_lo, n_hi + 1)])
     kind = "total" if isinstance(mapping, TotalDecomposition) else "bijection"
     return AuditReport(
-        mapping.name,
-        kind,
-        n_lo,
-        n_hi,
-        tuple(records),
-        all(r.passed for r in records),
-        mapping.reconstructed,
+        mapping.name, kind, n_lo, n_hi, "enum", mapping.reconstructed, all(r.passed for r in records), tuple(records)
     )
 
 
@@ -401,15 +369,11 @@ class CrossCheckRecord:
 @dataclass(frozen=True)
 class CrossCheckReport:
     n_max: int
-    records: tuple[CrossCheckRecord, ...]
     overall_pass: bool
+    records: tuple[CrossCheckRecord, ...]
 
     def to_obj(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "overall_pass": self.overall_pass,
-            "records": [_plain(r) for r in self.records],
-        }
+        return _plain(self)
 
     def to_csv(self) -> str:
         lines = ["check,n_hi,passed"]
@@ -441,8 +405,7 @@ def _compare(name: str, n_hi: int, **tables: tuple[int, ...]) -> CrossCheckRecor
 
 def cross_check_counts(n_max: int) -> CrossCheckReport:
     """Check ENUM=DP, DP=SERIES, and ped=four_regular over 0..n_max."""
-    if type(n_max) is not int or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative int, got {n_max!r}")
+    _check_weight(n_max, "n_max")
     records = []
     enum_top = min(n_max, _ENUM_CHECK_CAP)
     for cls in PartitionClass:
@@ -456,4 +419,4 @@ def cross_check_counts(n_max: int) -> CrossCheckReport:
     ped = count_table(PartitionClass.PED, n_max, "dp").counts
     four = count_table(PartitionClass.FOUR_REGULAR, n_max, "dp").counts
     records.append(_compare("ped_equals_four_regular", n_max, ped=ped, four_regular=four))
-    return CrossCheckReport(n_max, tuple(records), all(r.passed for r in records))
+    return CrossCheckReport(n_max, all(r.passed for r in records), tuple(records))

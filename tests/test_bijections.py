@@ -24,7 +24,7 @@ from pedpod.bijections import (
 )
 from pedpod.core import CLASS_SPECS, Partition, PartitionClass, is_member
 from pedpod.enumeration import all_partitions, class_members, partitions_of
-from pedpod.verification import audit_bijection_range
+from pedpod.verification import IDENTITIES, audit_bijection_range
 
 
 # Every map exists only as a registry entry, so these names reach the
@@ -311,6 +311,31 @@ def test_total_pieces_have_disjoint_shapes():
             for a, b in combinations(pieces, 2):
                 assert not any(a.in_domain(p) and b.in_domain(p) for p in domain), (a.name, b.name, n)
                 assert not any(a.in_codomain(q) and b.in_codomain(q) for q in codomain), (a.name, b.name, n)
+
+
+# Each mirror map with its identity and the index of the lhs term it maps
+# from; each total with the identity whose two lhs terms are its buckets.
+MIRROR_TERMS = {
+    "thm1.add": ("T1", 1), "thm2.shift": ("T2", 1), "thm3.add": ("T3", 1), "thm3.sub": ("T3", 0),
+    "thm4.add": ("T4", 1), "thm5.shift": ("T5", 1), "thm6.add": ("T6", 1), "thm6.sub": ("T6", 0),
+}
+TOTAL_IDENTITIES = {"thm2.total": "T2", "thm5.total": "T5"}
+
+
+def test_maps_agree_with_the_identities_they_prove():
+    # The gates, shifts and classes are written both in the map registry and
+    # in verification.IDENTITIES; each pair must say the same.
+    for name, (key, term) in MIRROR_TERMS.items():
+        mapping, spec = get_bijection(name), IDENTITIES[key]
+        cls, offset = spec.lhs[term]
+        assert mapping.min_weight == spec.threshold, name
+        assert mapping.weight_shift == -offset, name
+        assert mapping.domain == (CLASS_SPECS[cls],), name
+    for name, key in TOTAL_IDENTITIES.items():
+        total, spec = get_bijection(name), IDENTITIES[key]
+        assert spec.rhs == (total.domain_class, 0), name
+        assert spec.lhs == tuple((total.bucket_class, offset) for offset in total.offsets), name
+        assert total.min_weight == spec.threshold, name
 
 
 # sha256 of every "name p offset image" line of both totals over weights

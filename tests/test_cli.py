@@ -10,7 +10,9 @@ import pytest
 
 import pedpod.cli as cli
 from pedpod.core import PartitionClass
+from pedpod.counting import count_table
 from pedpod.enumeration import class_members
+from pedpod.verification import audit_bijection_range, cross_check_counts, verify_identity
 
 
 def run(argv, capsys):
@@ -40,6 +42,34 @@ def test_count_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"class": "ped", "backend": "DP", "n_max": 3, "counts": [1, 1, 2, 3]}
+
+
+# The only JSON keys that are not their field's name.
+_RENAMED = {"partition_class": "class", "identity_id": "identity"}
+
+
+def _field_keys(record) -> list:
+    return [_RENAMED.get(field.name, field.name) for field in dataclasses.fields(record)]
+
+
+def test_json_objects_are_their_fields_in_order():
+    reports = [
+        (count_table(PartitionClass.PED, 5), None),
+        (class_members(6, PartitionClass.D1), None),
+        (verify_identity("T2", 0, 6), "rows"),
+        (audit_bijection_range("thm2.total", 0, 6), "records"),
+        (cross_check_counts(8), "records"),
+    ]
+    for report, inner in reports:
+        obj = report.to_obj()
+        name = type(report).__name__
+        assert list(obj) == _field_keys(report), name
+        assert json.loads(json.dumps(obj)) == obj, name  # lists, not tuples, at every depth
+        if inner:
+            records = getattr(report, inner)
+            assert len(obj[inner]) == len(records) > 0, name
+            for record, record_obj in zip(records, obj[inner]):
+                assert list(record_obj) == _field_keys(record), name
 
 
 def test_list_example(capsys):
