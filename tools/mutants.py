@@ -38,6 +38,7 @@ WORK = ROOT / "build" / "mutants"
 TIMEOUT_S = 300
 
 CORE, ENUM, BIJ = "src/pedpod/core.py", "src/pedpod/enumeration.py", "src/pedpod/bijections.py"
+COUNT, VER, CLI = "src/pedpod/counting.py", "src/pedpod/verification.py", "src/pedpod/cli.py"
 
 # (name, file, old, new, equivalence reason or None)
 CATALOGUE = [
@@ -111,6 +112,15 @@ CATALOGUE = [
     ("spec-four-regular-keeps-fours", CORE, "ClassSpec(skip_fours=True)", "ClassSpec()", None),
     ("spec-d1-even-top", CORE, "PartitionClass.D1: ClassSpec(0, top_parity=1)",
      "PartitionClass.D1: ClassSpec(0, top_parity=0)", None),
+    # The one report path: _plain's keys and lists, the field order it reads, main's exit code.
+    ("plain-ignores-renames", CORE, "keys.get(field.name, field.name)", "field.name", None),
+    ("count-table-drops-class-key", COUNT, '_plain(self, partition_class="class")', "_plain(self)", None),
+    ("listing-drops-class-key", ENUM, '_plain(self, partition_class="class")', "_plain(self)", None),
+    ("plain-keeps-inner-tuples", CORE, "return [list(v) for v in x]", "return list(x)", None),
+    ("plain-keeps-outer-tuples", CORE, "if is_dataclass(first) else list(x)", "if is_dataclass(first) else x", None),
+    ("audit-report-swaps-pass-and-reconstructed", VER, "    reconstructed: bool\n    overall_pass: bool\n",
+     "    overall_pass: bool\n    reconstructed: bool\n", None),
+    ("main-ignores-overall-pass", CLI, 'return 0 if getattr(report, "overall_pass", True) else 1', "return 0", None),
 ]
 
 
