@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-    core          partition values and the one table of class specs
+    core          partition values, the one table of class specs, the six identities
     enumeration   exhaustive generation and class member listings
     counting      three independent counting back-ends (enum, dp, series)
     bijections    the weight-shifting maps behind six counting identities

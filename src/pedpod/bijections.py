@@ -20,10 +20,9 @@ sets of partitions.  Fourteen maps are registered under stable dotted names:
 
 The pod maps thm4.add, thm5.shift, thm6.add and thm6.sub mirror thm1.add,
 thm2.shift, thm3.add and thm3.sub with the parities swapped, so one builder,
-`_mirror_family`, makes both sets of four from the family class, the parity
-of the domain's largest part, the three domain classes and each map's least
-codomain weight (its identity's threshold).  They share five recipes: raise
-the top part, lower it, shift the two leading parts up or down, and sub.
+`_mirror_family`, makes both sets of four from the family's three
+identities, T1-T3 or T4-T6.  They share five recipes: raise the top part,
+lower it, shift the two leading parts up or down, and sub.
 
 The thm2 letter sets live inside PED(n): C has an even largest part and no
 part 1, D has an odd largest part with a gap of at least 2 below it and no
@@ -37,13 +36,19 @@ while A and B require a part 1 or 2.  So one builder, `_letters`, makes the
 C, D, A, B patterns of both families from the parity of the domain classes'
 largest part and the largest part that counts as small.
 
-Every plain map describes its two sides as data, each a union of disjoint
-head patterns (`core.ClassSpec`), and one `min_weight` gate on the identity
-weight; the thm2 pieces also keep (exceptional) or drop (exchange) the
-primed members.  `in_domain`/`in_codomain` are a side's compiled test and
-the gate, and one guard, `_guard`, puts every registered forward and inverse
-behind them; outside them it raises DomainError.  Audits and the letter
-sets list each side straight from its patterns.
+Every map describes its two sides as data at the identity weight n: a side
+is a tuple of buckets (offset, patterns), each holding the members of
+weight n + offset of a union of disjoint head patterns (`core.ClassSpec`).
+A map takes each term it proves, and its `min_weight` gate, from its
+identity in `core.IDENTITIES`: thm1.add maps ((-1, (D1,)),) onto
+((0, (PED with an even top,)),), and thm2.total ((0, (PED_GT1,)),) onto
+((0, (D2,)), (-3, (D2,))).  A side of two buckets holds `TaggedPreimage`s,
+and such a codomain makes a `TotalDecomposition`.  A member of weight w
+passes the gate when w - offset does; the thm2 pieces also keep
+(exceptional) or drop (exchange) the primed members.  One `_side_test`
+compiles `in_domain`/`in_codomain`, and `_guard` puts every registered
+forward and inverse behind them (DomainError outside); audits list every
+side with `_side_members`.
 
 One builder, `_exchange`, makes the exchange C union D -> A union B of
 both families from one case table: it trades the two leading parts for a
@@ -51,11 +56,11 @@ pair and fills the weight left over with 1s (thm2) or with 2s and at most
 one 1 (thm5); a negative filler weight raises RuntimeError.  thm2 registers
 its exchange as three pieces, split by the primed sets, and thm5 as one.
 
-`_total` assembles thm2.total and thm5.total from their identity's
-unguarded shift map and exchange: one test of C union D decides whether a
-domain member is exchanged, and the shift map's codomain test sends the
-image down into the n-3 bucket.  Offsets, gate and `reconstructed` are
-read off the shift, and one call runs the total's guard only.
+`_total` assembles thm2.total and thm5.total from their identity's terms
+and threshold and its unguarded shift map and exchange: one test of C union
+D decides whether a domain member is exchanged, and the shift map's
+codomain test sends the image down into the low bucket.  One call runs the
+total's guard only.
 
 thm4.add, thm6.add, and thm6.sub are reconstructions by parity symmetry
 with thm1/thm3; they carry a `reconstructed` flag that audit reports
@@ -70,7 +75,7 @@ from heapq import merge
 from operator import ge
 from typing import Callable
 
-from .core import CLASS_SPECS, ClassSpec, Partition, PartitionClass, _check_weight, _predicate, is_member
+from .core import CLASS_SPECS, IDENTITIES, ClassSpec, Partition, PartitionClass, _check_weight, _predicate
 from .enumeration import _generate_members
 
 
@@ -206,17 +211,42 @@ _PRIMES = dict(zip(_THM2, (
 )))
 
 
-def _side_members(n: int, side: tuple[ClassSpec, ...], primed: bool | None = None) -> list[Partition]:
-    """A side's members of weight n (none if n < 0), in decreasing lex order."""
+Side = tuple[tuple[int, tuple[ClassSpec, ...]], ...]  # buckets (offset, patterns)
+
+
+def _union_members(n: int, patterns: tuple[ClassSpec, ...], primed: bool | None) -> list[Partition]:
+    """The members of weight n (none if n < 0) of a union of disjoint patterns, in decreasing lex order."""
     listings = [_generate_members(n, spec) if primed is None
-                else [p for p in _generate_members(n, spec) if _PRIMES[spec](p) == primed] for spec in side]
+                else [p for p in _generate_members(n, spec) if _PRIMES[spec](p) == primed] for spec in patterns]
     return list(listings[0] if len(listings) == 1 else merge(*listings, reverse=True))
 
 
-def _side_test(side: tuple[ClassSpec, ...], primed: bool | None, scan=True) -> Callable[[Partition], bool]:
-    """The membership test of what `_side_members` lists; scan=False trusts the distinct parts."""
+def _side_members(n: int, side: Side, primed: bool | None = None) -> list:
+    """A side's members at identity weight n, each bucket's of weight n + offset, tagged on a side of two buckets."""
+    buckets = [(offset, _union_members(n + offset, patterns, primed)) for offset, patterns in side]
+    if len(buckets) == 1:
+        return buckets[0][1]
+    return [TaggedPreimage(offset, q) for offset, members in buckets for q in members]
+
+
+def _side_test(side: Side, primed: bool | None, gate: int) -> Callable[[object], bool]:
+    """The test of what `_side_members` lists of a side at any identity weight from gate on."""
+    tests = {offset: _union_test(patterns, primed) for offset, patterns in side}
+
+    def member(p: Partition, offset: int = side[0][0]) -> bool:  # its identity weight is its weight less the offset
+        return isinstance(p, Partition) and tests[offset](p) and p.weight - offset >= gate
+
+    if len(side) == 1:
+        return member
+    # A float or bool offset would look up and subtract like an int, so the tag must be an int.
+    return lambda t: (isinstance(t, TaggedPreimage) and type(t.offset) is int and t.offset in tests
+                      and member(t.partition, t.offset))
+
+
+def _union_test(patterns: tuple[ClassSpec, ...], primed: bool | None, scan=True) -> Callable[[Partition], bool]:
+    """The membership test of a union of disjoint patterns; scan=False trusts the distinct parts."""
     tests = [(_predicate(spec if scan else spec._replace(distinct=None)), None if primed is None else _PRIMES[spec])
-             for spec in side]
+             for spec in patterns]
     if len(tests) == 1 and primed is None:
         return tests[0][0]
 
@@ -314,21 +344,19 @@ def _exchange(distinct: int, small: int) -> tuple[Callable, Callable]:
 
 @dataclass(frozen=True)
 class Bijection:
-    """A plain weight-shifting bijection between two unions of disjoint head patterns.
+    """A bijection between two sides, each a tuple of buckets (offset, patterns), as the module docstring describes.
 
-    At identity weight n the domain is the members of weight n - weight_shift
-    of the domain patterns, and the codomain those of weight n of the codomain
-    patterns; both are empty below min_weight.  primed keeps only each thm2
-    letter's primed members (True) or only the rest (False).
+    Both sides are empty below min_weight.  primed keeps only each thm2
+    letter's primed members (True) or only the rest (False).  `in_domain` and
+    `in_codomain` are each side's compiled test.
     """
 
     id: BijectionId
-    domain: tuple[ClassSpec, ...]
-    codomain: tuple[ClassSpec, ...]
-    weight_shift: int
+    domain: Side
+    codomain: Side
     min_weight: int
-    forward: Callable[[Partition], Partition]
-    inverse: Callable[[Partition], Partition]
+    forward: Callable
+    inverse: Callable
     primed: bool | None = None
     reconstructed: bool = False
 
@@ -336,55 +364,24 @@ class Bijection:
     def name(self) -> str:
         return self.id.value
 
+    @property
+    def weight_shift(self) -> int:
+        return self.codomain[0][0] - self.domain[0][0]
+
     def __post_init__(self) -> None:  # each side's test, compiled once
-        object.__setattr__(self, "_tests", [_side_test(side, self.primed) for side in (self.domain, self.codomain)])
-
-    def in_domain(self, p: Partition) -> bool:
-        return isinstance(p, Partition) and self._tests[0](p) and p.weight + self.weight_shift >= self.min_weight
-
-    def in_codomain(self, q: Partition) -> bool:
-        return isinstance(q, Partition) and self._tests[1](q) and q.weight >= self.min_weight
+        object.__setattr__(self, "in_domain", _side_test(self.domain, self.primed, self.min_weight))
+        object.__setattr__(self, "in_codomain", _side_test(self.codomain, self.primed, self.min_weight))
 
 
-@dataclass(frozen=True)
-class TotalDecomposition:
-    """A tagged two-bucket decomposition of one class into another.
-
-    forward sends a `domain_class` member of weight n to a `bucket_class`
-    member of weight n or n-3 together with the bucket tag; over all of
-    domain_class(n) the two buckets fill bucket_class(n) and
-    bucket_class(n-3) exactly.  Both sides are empty below min_weight.
-    """
-
-    id: BijectionId
-    domain_class: PartitionClass
-    bucket_class: PartitionClass
-    offsets: tuple[int, int]
-    min_weight: int
-    forward: Callable[[Partition], TaggedPreimage]
-    inverse: Callable[[TaggedPreimage], Partition]
-    reconstructed: bool = False
+class TotalDecomposition(Bijection):
+    """A map whose codomain has two buckets of one class: forward tags each image with its bucket's offset."""
 
     @property
-    def name(self) -> str:
-        return self.id.value
-
-    def in_domain(self, p: Partition) -> bool:
-        return isinstance(p, Partition) and is_member(p, self.domain_class) and p.weight >= self.min_weight
-
-    def in_codomain(self, t: TaggedPreimage) -> bool:
-        """A bucket member under a known tag whose identity weight passes the gate."""
-        return (
-            isinstance(t, TaggedPreimage)
-            and type(t.offset) is int
-            and t.offset in self.offsets
-            and isinstance(t.partition, Partition)
-            and is_member(t.partition, self.bucket_class)
-            and t.partition.weight - t.offset >= self.min_weight
-        )
+    def bucket_class(self) -> PartitionClass:
+        return next(cls for cls, spec in CLASS_SPECS.items() if (spec,) == self.codomain[0][1])
 
 
-def _guard(entry: "Bijection | TotalDecomposition") -> "Bijection | TotalDecomposition":
+def _guard(entry: Bijection) -> Bijection:
     """entry with its recipes refusing, by DomainError, what in_domain and in_codomain reject."""
     codomain = "buckets" if isinstance(entry, TotalDecomposition) else "codomain"
 
@@ -403,81 +400,88 @@ def _guard(entry: "Bijection | TotalDecomposition") -> "Bijection | TotalDecompo
     )
 
 
-def _mirror_family(family, top, domains, gates, ids, reconstructed) -> list[Bijection]:
-    """thm1.add, thm2.shift, thm3.add and thm3.sub for PED, or their mirrors for POD.
+def _bucket(term: tuple[PartitionClass, int]) -> tuple[int, tuple[ClassSpec, ...]]:
+    """An identity's term (class, offset) as a bucket."""
+    return term[1], (CLASS_SPECS[term[0]],)
 
-    top is the parity of every domain member's largest part (odd for D1-D3,
-    even for O1-O3), domains the three domain classes, and gates each map's
-    min_weight, the least identity weight of its codomain.
+
+def _mirror_family(keys: tuple[str, str, str], ids, reconstructed) -> list[Bijection]:
+    """thm1.add, thm2.shift, thm3.add and thm3.sub from T1-T3, or their pod mirrors from T4-T6.
+
+    Each map's domain is a left-hand term of its identity (the first for
+    sub), its codomain patterns sit at the right-hand term, and its gate is
+    the threshold.  top is the parity of D1's (or O1's) largest part.
     """
-    d1, d2, d3 = (CLASS_SPECS[domain] for domain in domains)
-    other = CLASS_SPECS[family]._replace(top_parity=1 - top)
+    t1, t2, t3 = (IDENTITIES[key] for key in keys)
+    d1, d3 = CLASS_SPECS[t1.lhs[0][0]], CLASS_SPECS[t3.lhs[0][0]]
+    top = d1.top_parity
+    other = CLASS_SPECS[t1.rhs[0]]._replace(top_parity=1 - top)
     maps = (
-        (1, d1, (other,), _raise_top, _lower_top),
-        (3, d2, (d3._replace(gap=1),), _shift_up, _shift_down),
-        (1, d3, (other._replace(gap=2),), _raise_top, _lower_top),
-        (-2, d3, (d1, other._replace(gap=1)), _sub, _unsub(top)),
+        (t1, t1.lhs[1], (other,), _raise_top, _lower_top),
+        (t2, t2.lhs[1], (d3._replace(gap=1),), _shift_up, _shift_down),
+        (t3, t3.lhs[1], (other._replace(gap=2),), _raise_top, _lower_top),
+        (t3, t3.lhs[0], (d1, other._replace(gap=1)), _sub, _unsub(top)),
     )
     return [
-        Bijection(bid, (domain,), codomain, shift, gate, forward, inverse, reconstructed=flag)
-        for bid, gate, flag, (shift, domain, codomain, forward, inverse) in zip(ids, gates, reconstructed, maps)
+        Bijection(bid, (_bucket(term),), ((t.rhs[1], codomain),), t.threshold, forward, inverse, reconstructed=flag)
+        for bid, flag, (t, term, codomain, forward, inverse) in zip(ids, reconstructed, maps)
     ]
 
 
-def _total(bid: BijectionId, classes: tuple[PartitionClass, PartitionClass], shift: Bijection,
-           letters: tuple[ClassSpec, ...], exchange: tuple[Callable, Callable]) -> TotalDecomposition:
-    """The tagged decomposition of classes (domain, buckets) one identity's shift and exchange assemble.
+def _total(bid: BijectionId, key: str, shift: Bijection, letters: tuple[ClassSpec, ...],
+           exchange: tuple[Callable, Callable]) -> TotalDecomposition:
+    """The tagged decomposition of identity key's right-hand term into its left-hand terms, gated at its threshold.
 
     forward exchanges p when it lies in C union D (p passes through
     otherwise); an image in the shift's codomain goes down the shift's
-    inverse into the bucket at n - weight_shift, any other image stays in
-    the bucket at n.  inverse lifts a low-bucket member with the shift's
-    forward, then undoes the exchange when the result lies in A union B.
-    Shift and exchange come unguarded: the total's own guard admits only its
-    domain and buckets, so one call runs one guard, and as every image then
-    lies in the same family, the routing tests skip its distinct-parts scan.
+    inverse into the low bucket, any other image stays in the high one.
+    inverse lifts a low-bucket member with the shift's forward, then undoes
+    the exchange when the result lies in A union B.  Shift and exchange come
+    unguarded: the total's own guard admits only its domain and buckets, so
+    one call runs one guard, and as every image then lies in the same
+    family, the routing tests skip its distinct-parts scan.
     """
-    low = -shift.weight_shift
+    spec = IDENTITIES[key]
+    high, low = spec.lhs[0][1], spec.lhs[1][1]
     c, d, a, b = letters
-    exchanged, restored = _side_test((c, d), None, False), _side_test((a, b), None, False)
-    lands = _side_test(shift.codomain, None, False)
+    exchanged, restored = _union_test((c, d), None, False), _union_test((a, b), None, False)
+    lands = _union_test(shift.codomain[0][1], None, False)
     move, back = exchange
 
     def forward(p: Partition) -> TaggedPreimage:
         q = move(p) if exchanged(p) else p
-        return TaggedPreimage(low, shift.inverse(q)) if lands(q) else TaggedPreimage(0, q)
+        return TaggedPreimage(low, shift.inverse(q)) if lands(q) else TaggedPreimage(high, q)
 
     def inverse(t: TaggedPreimage) -> Partition:
         q = shift.forward(t.partition) if t.offset == low else t.partition
         return back(q) if restored(q) else q
 
-    return TotalDecomposition(bid, *classes, (0, low), shift.min_weight, forward, inverse, shift.reconstructed)
+    return TotalDecomposition(bid, (_bucket(spec.rhs),), tuple(map(_bucket, spec.lhs)), spec.threshold, forward,
+                              inverse, reconstructed=shift.reconstructed)
 
 
-def _registry() -> dict[BijectionId, Bijection | TotalDecomposition]:
-    B, C = BijectionId, PartitionClass
+def _registry() -> dict[BijectionId, Bijection]:
+    B = BijectionId
     c2, d2, a2, b2 = _THM2
     c5, d5, a5, b5 = _THM5
     ex2, ex5 = _exchange(0, 1), _exchange(1, 2)
     raw = {entry.id: entry for entry in [
-        *_mirror_family(C.PED, 1, (C.D1, C.D2, C.D3), (1, 1, 1, 1),
-                        (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
-        *_mirror_family(C.POD, 0, (C.O1, C.O2, C.O3), (2, 5, 3, 3),
-                        (B.B4, B.B5_SHIFT, B.B6_ADD, B.B6_SUB), (True, False, True, True)),
-        Bijection(B.B2_EXCHANGE_CA, (c2,), (a2,), 0, 0, *ex2, False),
-        Bijection(B.B2_EXCHANGE_DB, (d2,), (b2,), 0, 0, *ex2, False),
-        Bijection(B.B2_EXCEPTIONAL, (c2, d2), (a2, b2), 0, 0, *ex2, True),
-        Bijection(B.B5_EXCHANGE, (c5, d5), (a5, b5), 0, 0, *ex5),
+        *_mirror_family(("T1", "T2", "T3"), (B.B1, B.B2_SHIFT, B.B3_ADD, B.B3_SUB), (False, False, False, False)),
+        *_mirror_family(("T4", "T5", "T6"), (B.B4, B.B5_SHIFT, B.B6_ADD, B.B6_SUB), (True, False, True, True)),
+        Bijection(B.B2_EXCHANGE_CA, ((0, (c2,)),), ((0, (a2,)),), 0, *ex2, False),
+        Bijection(B.B2_EXCHANGE_DB, ((0, (d2,)),), ((0, (b2,)),), 0, *ex2, False),
+        Bijection(B.B2_EXCEPTIONAL, ((0, (c2, d2)),), ((0, (a2, b2)),), 0, *ex2, True),
+        Bijection(B.B5_EXCHANGE, ((0, (c5, d5)),), ((0, (a5, b5)),), 0, *ex5),
     ]}
-    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, (C.PED_GT1, C.D2), raw[B.B2_SHIFT], _THM2, ex2)
-    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, (C.POD_GT2, C.O2), raw[B.B5_SHIFT], _THM5, ex5)
+    raw[B.B2_TOTAL] = _total(B.B2_TOTAL, "T2", raw[B.B2_SHIFT], _THM2, ex2)
+    raw[B.B5_TOTAL] = _total(B.B5_TOTAL, "T5", raw[B.B5_SHIFT], _THM5, ex5)
     return {bid: _guard(raw[bid]) for bid in BijectionId}
 
 
-REGISTRY: dict[BijectionId, Bijection | TotalDecomposition] = _registry()
+REGISTRY: dict[BijectionId, Bijection] = _registry()
 
 
-def get_bijection(key: "BijectionId | str") -> "Bijection | TotalDecomposition":
+def get_bijection(key: "BijectionId | str") -> Bijection:
     """Look a map up by BijectionId or by its stable dotted name."""
     try:
         return REGISTRY[BijectionId(key)]

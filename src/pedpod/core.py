@@ -27,12 +27,17 @@ so that comparing the back-ends checks this table too.
 A `ClassSpec` is also a head pattern, so the proof maps' sides are data
 too: it may pin the largest part L's parity and copies, ask for a second
 part of L-1 or none above L-2, and ask for some part at most `small`.
+
+`IDENTITIES` states the six identities (see `verification`) as terms, each
+a class at an offset from the identity weight n, with the least n from
+which each holds.  `verification` checks them numerically, and the proof
+maps in `bijections` read their sides and gates off them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
@@ -181,6 +186,39 @@ def _predicate(spec: ClassSpec) -> Callable[[Partition], bool]:
 
 
 _PREDICATES = {cls: _predicate(spec) for cls, spec in CLASS_SPECS.items()}
+
+
+@dataclass(frozen=True)
+class IdentitySpec:
+    """One two-term counting identity with its validity threshold."""
+
+    identity_id: str
+    lhs: tuple[tuple[PartitionClass, int], ...]
+    rhs: tuple[PartitionClass, int]
+    threshold: int
+
+    def term_labels(self) -> list[str]:
+        return [_term_label(cls, off) for cls, off in self.lhs]
+
+    def describe(self) -> str:
+        lhs = " + ".join(self.term_labels())
+        rhs = _term_label(*self.rhs)
+        return f"{lhs} = {rhs} for n >= {self.threshold}"
+
+
+def _term_label(partition_class: PartitionClass, offset: int) -> str:
+    inner = "n" if offset == 0 else f"n{offset:+d}"
+    return f"{partition_class.value}({inner})"
+
+
+IDENTITIES: dict[str, IdentitySpec] = {spec.identity_id: spec for spec in (
+    IdentitySpec("T1", ((PartitionClass.D1, 0), (PartitionClass.D1, -1)), (PartitionClass.PED, 0), 1),
+    IdentitySpec("T2", ((PartitionClass.D2, 0), (PartitionClass.D2, -3)), (PartitionClass.PED_GT1, 0), 1),
+    IdentitySpec("T3", ((PartitionClass.D3, 2), (PartitionClass.D3, -1)), (PartitionClass.PED, 0), 1),
+    IdentitySpec("T4", ((PartitionClass.O1, 0), (PartitionClass.O1, -1)), (PartitionClass.POD, 0), 2),
+    IdentitySpec("T5", ((PartitionClass.O2, 0), (PartitionClass.O2, -3)), (PartitionClass.POD_GT2, 0), 5),
+    IdentitySpec("T6", ((PartitionClass.O3, 2), (PartitionClass.O3, -1)), (PartitionClass.POD, 0), 3),
+)}
 
 
 def _check_weight(n: int, name: str = "n") -> None:

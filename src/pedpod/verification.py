@@ -17,11 +17,11 @@ side counts the partition (3) and the left side counts nothing.)
 Audits enumerate a map's declared domain and codomain outright and check
 totality, the declared weight shift, landing inside the codomain,
 injectivity, surjectivity, and both round trips.  The audit weight n is
-the identity's n.  One engine audits both kinds of map, and every side is
-listed outright from its head patterns or class: a plain map's domain at
-weight n - weight_shift and codomain at n, and a tagged decomposition's
-domain and each bucket, tagged with its offset.  This is exactly the
-counting argument the identities rest on.
+the identity's n.  Every side is a tuple of offset buckets of head
+patterns, read off the identity its map proves, so one listing serves every
+map: each bucket at weight n + offset, its members tagged with the offset
+on a side of two buckets.  This is exactly the counting argument the
+identities rest on.
 
 Every report and record serializes from its own dataclass fields, in
 declaration order, through `core._plain`: the JSON object of an
@@ -35,15 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bijections import (
-    Bijection,
-    BijectionId,
-    TaggedPreimage,
-    TotalDecomposition,
-    _side_members,
-    get_bijection,
-)
-from .core import CLASS_SPECS, Partition, PartitionClass, _check_weight, _plain
+from .bijections import Bijection, BijectionId, TaggedPreimage, TotalDecomposition, _side_members, get_bijection
+from .core import IDENTITIES, IdentitySpec, Partition, PartitionClass, _check_weight, _plain
 from .counting import ENUM_CAP, SERIES_CLASSES, _aligned, count_table, normalize_backend
 
 _AUDIT_WEIGHT_CAP = 50
@@ -52,69 +45,6 @@ _FAILURE_CAP = 100
 
 # ---------------------------------------------------------------------------
 # Identity registry
-
-
-@dataclass(frozen=True)
-class IdentitySpec:
-    """One two-term counting identity with its validity threshold."""
-
-    identity_id: str
-    lhs: tuple[tuple[PartitionClass, int], ...]
-    rhs: tuple[PartitionClass, int]
-    threshold: int
-
-    def term_labels(self) -> list[str]:
-        return [_term_label(cls, off) for cls, off in self.lhs]
-
-    def describe(self) -> str:
-        lhs = " + ".join(self.term_labels())
-        rhs = _term_label(*self.rhs)
-        return f"{lhs} = {rhs} for n >= {self.threshold}"
-
-
-def _term_label(partition_class: PartitionClass, offset: int) -> str:
-    inner = "n" if offset == 0 else f"n{offset:+d}"
-    return f"{partition_class.value}({inner})"
-
-
-IDENTITIES: dict[str, IdentitySpec] = {
-    "T1": IdentitySpec(
-        "T1",
-        ((PartitionClass.D1, 0), (PartitionClass.D1, -1)),
-        (PartitionClass.PED, 0),
-        1,
-    ),
-    "T2": IdentitySpec(
-        "T2",
-        ((PartitionClass.D2, 0), (PartitionClass.D2, -3)),
-        (PartitionClass.PED_GT1, 0),
-        1,
-    ),
-    "T3": IdentitySpec(
-        "T3",
-        ((PartitionClass.D3, 2), (PartitionClass.D3, -1)),
-        (PartitionClass.PED, 0),
-        1,
-    ),
-    "T4": IdentitySpec(
-        "T4",
-        ((PartitionClass.O1, 0), (PartitionClass.O1, -1)),
-        (PartitionClass.POD, 0),
-        2,
-    ),
-    "T5": IdentitySpec(
-        "T5",
-        ((PartitionClass.O2, 0), (PartitionClass.O2, -3)),
-        (PartitionClass.POD_GT2, 0),
-        5,
-    ),
-    "T6": IdentitySpec(
-        "T6",
-        ((PartitionClass.O3, 2), (PartitionClass.O3, -1)),
-        (PartitionClass.POD, 0),
-        3,
-    ),
-}
 
 
 def get_identity(key: str) -> IdentitySpec:
@@ -270,7 +200,7 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord:
+def _audit_one(mapping: Bijection, n: int) -> AuditRecord:
     """Audit a map at identity weight n, calling each direction once per member.
 
     forward must be total and injective into the codomain at the right weight,
@@ -280,15 +210,8 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
     and so is a forward result that is not a (tagged) partition.
     """
     tagged = isinstance(mapping, TotalDecomposition)
-    if n < mapping.min_weight:
-        domain = codomain = ()  # below the gate both sides are empty
-    elif tagged:
-        domain = _side_members(n, (CLASS_SPECS[mapping.domain_class],))
-        bucket = (CLASS_SPECS[mapping.bucket_class],)
-        codomain = [TaggedPreimage(off, q) for off in mapping.offsets for q in _side_members(n + off, bucket)]
-    else:
-        domain = _side_members(n - mapping.weight_shift, mapping.domain, mapping.primed)
-        codomain = _side_members(n, mapping.codomain, mapping.primed)
+    domain, codomain = ([] if n < mapping.min_weight else _side_members(n, side, mapping.primed)
+                        for side in (mapping.domain, mapping.codomain))
     members = set(codomain)
     failures: list[str] = []
     preimage: dict[Partition | TaggedPreimage, Partition] = {}
@@ -299,7 +222,7 @@ def _audit_one(mapping: "Bijection | TotalDecomposition", n: int) -> AuditRecord
             failures.append(f"forward undefined on {p}: {exc}")
             continue
         if tagged:
-            well_formed = isinstance(q, TaggedPreimage) and isinstance(q.partition, Partition)
+            well_formed = isinstance(q, TaggedPreimage) and type(q.offset) is int and isinstance(q.partition, Partition)
         else:
             well_formed = isinstance(q, Partition)
         if not well_formed:

@@ -260,20 +260,30 @@ def test_plain_bijections_cover_codomain():
             assert image == codomain, (mapping.name, n)
 
 
+# Each total with the identity whose right-hand class it decomposes into
+# the two left-hand terms.
+TOTAL_IDENTITIES = {"thm2.total": "T2", "thm5.total": "T5"}
+
+
 def test_total_decompositions_fill_buckets_exactly():
-    for bid in (BijectionId.B2_TOTAL, BijectionId.B5_TOTAL):
-        t = REGISTRY[bid]
-        for n in range(t.min_weight, 19):
-            buckets = {off: set() for off in t.offsets}
-            for p in class_members(n, t.domain_class).members:
+    for name, key in TOTAL_IDENTITIES.items():
+        t, spec = get_bijection(name), IDENTITIES[key]
+        for n in range(spec.threshold, 19):
+            buckets = {off: set() for _, off in spec.lhs}
+            for p in class_members(n, spec.rhs[0]).members:
                 tagged = t.forward(p)
                 buckets[tagged.offset].add(tagged.partition)
                 assert t.inverse(tagged) == p
-            for off in t.offsets:
-                expected = set(class_members(max(n + off, 0), t.bucket_class).members)
-                if n + off < 0:
-                    expected = set()
-                assert buckets[off] == expected, (bid, n, off)
+            for cls, off in spec.lhs:
+                expected = set(class_members(n + off, cls).members) if n + off >= 0 else set()
+                assert buckets[off] == expected, (name, n, off)
+
+
+def test_total_decompositions_are_the_two_bucket_maps():
+    totals = {m.name for m in REGISTRY.values() if isinstance(m, TotalDecomposition)}
+    assert totals == {m.name for m in REGISTRY.values() if len(m.codomain) == 2} == set(TOTAL_IDENTITIES)
+    assert get_bijection("thm2.total").bucket_class is PartitionClass.D2
+    assert get_bijection("thm5.total").bucket_class is PartitionClass.O2
 
 
 # Each total's shift map and exchange pieces, as the paper assembles them.
@@ -289,14 +299,14 @@ TOTAL_PARTS = {
 def test_totals_take_their_fields_from_shift_and_pieces():
     for bid, (shift_id, piece_ids) in TOTAL_PARTS.items():
         t, shift = REGISTRY[bid], REGISTRY[shift_id]
-        assert shift.domain == (CLASS_SPECS[t.bucket_class],), bid
-        assert t.offsets == (0, -shift.weight_shift), bid
+        assert shift.domain[0][1] == (CLASS_SPECS[t.bucket_class],), bid
+        assert tuple(off for off, _ in t.codomain) == (0, -shift.weight_shift), bid
         assert t.min_weight == shift.min_weight, bid
         for piece_id in piece_ids:
             piece = REGISTRY[piece_id]
             for n in range(0, 19):
                 domain = _side_members(n, piece.domain, piece.primed)
-                assert all(is_member(p, t.domain_class) for p in domain), (bid, piece_id, n)
+                assert set(domain) <= set(_side_members(n, t.domain)), (bid, piece_id, n)
 
 
 def test_total_pieces_have_disjoint_shapes():
@@ -306,7 +316,7 @@ def test_total_pieces_have_disjoint_shapes():
         t, shift = REGISTRY[bid], REGISTRY[shift_id]
         pieces = [REGISTRY[piece_id] for piece_id in piece_ids]
         for n in range(0, 19):
-            domain = class_members(n, t.domain_class).members
+            domain = _side_members(n, t.domain)
             codomain = class_members(n, t.bucket_class).members + tuple(_side_members(n, shift.codomain))
             for a, b in combinations(pieces, 2):
                 assert not any(a.in_domain(p) and b.in_domain(p) for p in domain), (a.name, b.name, n)
@@ -314,27 +324,27 @@ def test_total_pieces_have_disjoint_shapes():
 
 
 # Each mirror map with its identity and the index of the lhs term it maps
-# from; each total with the identity whose two lhs terms are its buckets.
+# from.
 MIRROR_TERMS = {
     "thm1.add": ("T1", 1), "thm2.shift": ("T2", 1), "thm3.add": ("T3", 1), "thm3.sub": ("T3", 0),
     "thm4.add": ("T4", 1), "thm5.shift": ("T5", 1), "thm6.add": ("T6", 1), "thm6.sub": ("T6", 0),
 }
-TOTAL_IDENTITIES = {"thm2.total": "T2", "thm5.total": "T5"}
 
 
 def test_maps_agree_with_the_identities_they_prove():
-    # The gates, shifts and classes are written both in the map registry and
-    # in verification.IDENTITIES; each pair must say the same.
+    # The registry reads each gate and each side's classes and offsets off
+    # core.IDENTITIES; this checks that it reads the right terms.
     for name, (key, term) in MIRROR_TERMS.items():
         mapping, spec = get_bijection(name), IDENTITIES[key]
         cls, offset = spec.lhs[term]
         assert mapping.min_weight == spec.threshold, name
         assert mapping.weight_shift == -offset, name
-        assert mapping.domain == (CLASS_SPECS[cls],), name
+        assert mapping.domain == ((offset, (CLASS_SPECS[cls],)),), name
+        assert mapping.codomain[0][0] == spec.rhs[1], name
     for name, key in TOTAL_IDENTITIES.items():
         total, spec = get_bijection(name), IDENTITIES[key]
-        assert spec.rhs == (total.domain_class, 0), name
-        assert spec.lhs == tuple((total.bucket_class, offset) for offset in total.offsets), name
+        assert total.domain == ((spec.rhs[1], (CLASS_SPECS[spec.rhs[0]],)),), name
+        assert total.codomain == tuple((offset, (CLASS_SPECS[cls],)) for cls, offset in spec.lhs), name
         assert total.min_weight == spec.threshold, name
 
 
@@ -348,7 +358,7 @@ def test_total_pairing_is_pinned():
     for bid in TOTAL_PARTS:
         t = REGISTRY[bid]
         for n in range(1, 19):
-            for p in class_members(n, t.domain_class).members:
+            for p in _side_members(n, t.domain):
                 if t.in_domain(p):
                     tagged = t.forward(p)
                     lines.append(f"{t.name} {p.to_text()} {tagged.offset} {tagged.partition.to_text()}")
@@ -386,15 +396,16 @@ def test_guards_match_the_registry_predicates():
             for p in all_partitions(n):
                 assert _refused(mapping.forward, p) == (not mapping.in_domain(p)), (mapping.name, p)
                 assert _refused(mapping.inverse, p) == (not mapping.in_codomain(p)), (mapping.name, p)
-    for bid in (BijectionId.B2_TOTAL, BijectionId.B5_TOTAL):
-        t = REGISTRY[bid]
+    for name, key in TOTAL_IDENTITIES.items():
+        t, spec = get_bijection(name), IDENTITIES[key]
+        offsets = [off for _, off in spec.lhs]
         for n in range(0, 19):
             for p in all_partitions(n):
-                inside = is_member(p, t.domain_class) and n >= t.min_weight
-                assert _refused(t.forward, p) == (not inside), (bid, p)
-                for off in (*t.offsets, -1):
-                    bucketed = off in t.offsets and is_member(p, t.bucket_class) and n - off >= t.min_weight
-                    assert _refused(t.inverse, TaggedPreimage(off, p)) == (not bucketed), (bid, p, off)
+                inside = is_member(p, spec.rhs[0]) and n >= spec.threshold
+                assert _refused(t.forward, p) == (not inside), (name, p)
+                for off in (*offsets, -1):
+                    bucketed = off in offsets and is_member(p, spec.lhs[0][0]) and n - off >= spec.threshold
+                    assert _refused(t.inverse, TaggedPreimage(off, p)) == (not bucketed), (name, p, off)
 
 
 # Summed (domain_size, codomain_size) of each map's audit over n = 0..24.  A
@@ -537,7 +548,8 @@ def test_map_sides_are_listed_as_their_definitions():
         for mapping in _plain_bijections():
             for side, definition in zip((mapping.domain, mapping.codomain), MAP_SIDES[mapping.name]):
                 expected = [p for p in stream if definition(p)]
-                assert _side_members(n, side, mapping.primed) == expected, (mapping.name, n)
+                (offset, _), = side
+                assert _side_members(n - offset, side, mapping.primed) == expected, (mapping.name, n)
 
 
 def test_total_pieces_tile_the_letter_unions():
@@ -558,10 +570,11 @@ def test_total_pieces_tile_the_letter_unions():
 
 def test_guards_admit_every_listed_member():
     # The listings and the guards read the same patterns, so a pattern too
-    # narrow in both still fails the definitions above; this ties the two.
-    for mapping in _plain_bijections():
+    # narrow in both still fails the definitions above; this ties the two,
+    # the tagged listing and the tagged test included.
+    for mapping in REGISTRY.values():
         for n in range(mapping.min_weight, 31):
-            for p in _side_members(n - mapping.weight_shift, mapping.domain, mapping.primed):
+            for p in _side_members(n, mapping.domain, mapping.primed):
                 assert mapping.in_domain(p), (mapping.name, p)
             for q in _side_members(n, mapping.codomain, mapping.primed):
                 assert mapping.in_codomain(q), (mapping.name, q)

@@ -195,9 +195,8 @@ def test_audit_report_serialization():
 def _broken_bijection():
     return Bijection(
         id=BijectionId.B1,
-        domain=(CLASS_SPECS[PartitionClass.D1],),
-        codomain=(CLASS_SPECS[PartitionClass.PED]._replace(top_parity=0),),
-        weight_shift=1,
+        domain=((-1, (CLASS_SPECS[PartitionClass.D1],)),),
+        codomain=((0, (CLASS_SPECS[PartitionClass.PED]._replace(top_parity=0),)),),
         min_weight=1,
         forward=lambda p: Partition((p.weight + 1,)),  # constant-shape image
         inverse=lambda q: q,
@@ -276,6 +275,17 @@ def test_a_failing_audit_in_every_format(monkeypatch):
             "thm2.total",
             lambda p: bijections.TaggedPreimage(0, list(p)),
             "(6) -> TaggedPreimage(offset=0, partition=[6]) is not a tagged partition",
+        ),
+        # Each offset equals 0 and hashes like it, but the guard admits only an int tag.
+        (
+            "thm2.total",
+            lambda p: bijections.TaggedPreimage(0.0, p),
+            "(6) -> TaggedPreimage(offset=0.0, partition=Partition(6)) is not a tagged partition",
+        ),
+        (
+            "thm2.total",
+            lambda p: bijections.TaggedPreimage(False, p),
+            "(6) -> TaggedPreimage(offset=False, partition=Partition(6)) is not a tagged partition",
         ),
     ],
 )

@@ -67,20 +67,33 @@ CATALOGUE = [
     ("shift-codomain-gap-2", BIJ, "(d3._replace(gap=1),)", "(d3._replace(gap=2),)", None),
     ("add-codomain-no-gap", BIJ, "(other._replace(gap=2),)", "(other,)", None),
     ("sub-codomain-drops-union-member", BIJ, "(d1, other._replace(gap=1))", "(d1,)", None),
-    ("exceptional-domain-drops-d-prime", BIJ, "(c2, d2), (a2, b2), 0, 0", "(c2,), (a2, b2), 0, 0", None),
-    ("thm5-codomain-drops-b", BIJ, "(c5, d5), (a5, b5), 0, 0", "(c5, d5), (a5,), 0, 0", None),
+    ("exceptional-domain-drops-d-prime", BIJ, "((0, (c2, d2)),), ((0, (a2, b2)),)", "((0, (c2,)),), ((0, (a2, b2)),)",
+     None),
+    ("thm5-codomain-drops-b", BIJ, "((0, (c5, d5)),), ((0, (a5, b5)),)", "((0, (c5, d5)),), ((0, (a5,)),)", None),
     ("side-test-ignores-primes", BIJ, "return prime is None or prime(p) == primed", "return True", None),
     ("side-listing-flips-primes", BIJ, "_PRIMES[spec](p) == primed]", "_PRIMES[spec](p) != primed]", None),
     ("c-prime-any-second-2", BIJ, "len(p) == 1 or (len(p) == 2 and p[1] == 2)", "len(p) == 1 or p[1] == 2",
      "read only on C members, whose parts are at least 2, so a second part 2 is the last part"),
     ("a-prime-loses-all-ones", BIJ, "p.count(1) in (2, len(p))", "p.count(1) == 2", None),
     ("b-prime-odd-weight", BIJ, "p[0] == 3 and p.weight % 2 == 0", "p[0] == 3 and p.weight % 2 == 1", None),
-    ("total-routes-by-codomain", BIJ, "exchanged, restored = _side_test((c, d)",
-     "exchanged, restored = _side_test((a, b)", None),
+    ("total-routes-by-codomain", BIJ, "exchanged, restored = _union_test((c, d)",
+     "exchanged, restored = _union_test((a, b)", None),
     ("guards-skip-the-family-scan", BIJ, "_predicate(spec if scan else spec._replace(distinct=None))",
      "_predicate(spec._replace(distinct=None))", None),
     ("routing-keeps-the-family-scan", BIJ, "_predicate(spec if scan else spec._replace(distinct=None))",
      "_predicate(spec)", "the routing only reads members and images of the total's family, so the scan always passes"),
+    # The sides and gates read off core.IDENTITIES, and the tests compiled from them.
+    ("thm3-sub-reads-lhs-1", BIJ, "(t3, t3.lhs[0], (d1,", "(t3, t3.lhs[1], (d1,", None),
+    ("total-low-bucket-reads-lhs-0", BIJ, "spec.lhs[0][1], spec.lhs[1][1]", "spec.lhs[0][1], spec.lhs[0][1]", None),
+    ("t4-threshold-3", CORE, "(PartitionClass.POD, 0), 2)", "(PartitionClass.POD, 0), 3)", None),
+    ("mirror-top-flipped", BIJ, "top = d1.top_parity", "top = 1 - d1.top_parity", None),
+    ("weight-shift-reversed", BIJ, "self.codomain[0][0] - self.domain[0][0]", "self.domain[0][0] - self.codomain[0][0]",
+     None),
+    ("side-gate-ignores-offset", BIJ, "p.weight - offset >= gate", "p.weight >= gate", None),
+    ("tagged-side-test-takes-any-offset", BIJ, "type(t.offset) is int and t.offset in tests", "t.offset in tests",
+     None),
+    ("audit-takes-any-offset", VER, "isinstance(q, TaggedPreimage) and type(q.offset) is int and",
+     "isinstance(q, TaggedPreimage) and", None),
     # The exchange case table: each pair, the C edge, the inverse's cases, the filler and _sub's swap.
     ("exchange-singleton-keeps-top", BIJ, "pair = ()", "pair = (top,)", None),
     ("exchange-c-edge-pair", BIJ, "pair = (second + 1, second)\n            elif second % 2 != distinct:",
