@@ -47,8 +47,10 @@ and such a codomain makes a `TotalDecomposition`.  A member of weight w
 passes the gate when w - offset does; the thm2 pieces also keep
 (exceptional) or drop (exchange) the primed members.  One `_side_test`
 compiles `in_domain`/`in_codomain`, and `_guard` puts every registered
-forward and inverse behind them (DomainError outside); audits list every
-side with `_side_members`.
+forward and inverse behind them (DomainError outside).  Audits list every
+side with `_side_members` and run the unguarded `_RECIPES`: each member
+they pass a direction is one by construction, so a guard would only test it
+again.
 
 One builder, `_exchange`, makes the exchange C union D -> A union B of
 both families from one case table: it trades the two leading parts for a
@@ -475,10 +477,12 @@ def _registry() -> dict[BijectionId, Bijection]:
     ]}
     raw[B.B2_TOTAL] = _total(B.B2_TOTAL, "T2", raw[B.B2_SHIFT], _THM2, ex2)
     raw[B.B5_TOTAL] = _total(B.B5_TOTAL, "T5", raw[B.B5_SHIFT], _THM5, ex5)
-    return {bid: _guard(raw[bid]) for bid in BijectionId}
+    return raw
 
 
-REGISTRY: dict[BijectionId, Bijection] = _registry()
+# The unguarded maps, which audits run: an audit passes each direction only members it listed.
+_RECIPES: dict[BijectionId, Bijection] = _registry()
+REGISTRY: dict[BijectionId, Bijection] = {bid: _guard(_RECIPES[bid]) for bid in BijectionId}
 
 
 def get_bijection(key: "BijectionId | str") -> Bijection:

@@ -30,7 +30,7 @@ import sys
 from typing import NamedTuple
 
 from .bijections import TaggedPreimage, TotalDecomposition, bijection_names, get_bijection
-from .core import PartitionClass, parse_partition
+from .core import IDENTITIES, Partition, PartitionClass, parse_partition
 from .counting import BACKENDS, count_table
 from .enumeration import class_members
 from .verification import (
@@ -43,7 +43,9 @@ from .verification import (
 _FORMATS = ("table", "csv", "json")
 COUNT_TO_CAP = 10000
 LIST_N_CAP = 60
-_TAG_OFFSETS = {"n": 0, "n-3": -3}
+# apply --tag names a total's bucket by its tag text: T2's left-hand offsets, which T5's repeat.
+_TAG_OFFSETS = {TaggedPreimage(offset, Partition()).tag_text(): offset for _, offset in IDENTITIES["T2"].lhs}
+assert list(_TAG_OFFSETS.values()) == [offset for _, offset in IDENTITIES["T5"].lhs]
 
 
 def _width_hint() -> "int | None":
@@ -107,7 +109,8 @@ def _cmd_apply(args):
         raise ValueError("--tag only applies when inverting a tagged decomposition")
     if is_total and args.inverse:
         if args.tag is None:
-            raise ValueError("inverting a tagged decomposition needs --tag n or --tag n-3")
+            tags = " or ".join(f"--tag {tag}" for tag in _TAG_OFFSETS)
+            raise ValueError(f"inverting a tagged decomposition needs {tags}")
         result = mapping.inverse(TaggedPreimage(_TAG_OFFSETS[args.tag], p))
         payload = {"input": list(p), "tag": args.tag, "output": list(result)}
         text = result.to_text()

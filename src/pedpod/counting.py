@@ -2,7 +2,8 @@
 
 Three interchangeable back-ends produce the same tables:
 
-    ENUM    one walk that visits every partition once (small n only),
+    ENUM    one walk over every partition that counts each run of
+            trailing 1s in one step (small n only),
     DP      dynamic programming over exact Python integers,
     SERIES  coefficients of eta quotients, products of E(q^a)^(+-1) with
             E(q) = prod (1 - q^k), from Euler's pentagonal number theorem.
@@ -26,6 +27,7 @@ largest n requested.  Back-ends never read each other's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 from operator import add, sub
 
@@ -163,24 +165,31 @@ def _code_members(flags: int, head: int, smallest: int) -> list[PartitionClass]:
 def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
     """Count every class at every weight <= n_max by one walk over all partitions.
 
-    The walk visits the tree of partitions of weight <= n_max depth first; a
-    child appends a part no larger than its parent's last, so every partition
-    is visited exactly once.  Each visit classifies its partition in O(1) from
-    state passed down the walk and adds one to hist[code][weight].
+    The walk runs over the tree of partitions of weight <= n_max depth first;
+    a child appends a part no larger than its parent's last, so every
+    partition is reached exactly once.  Each visit classifies its partition
+    in O(1) from state passed down the walk and adds one to hist[code][weight].
+    The walk does not descend into a part 1: appending a 1 below a larger part
+    tallies that partition, and every longer tail of 1s has one code, the
+    first 1's with odd parts no longer distinct, so one mark in
+    runs[code][weight + 1] stands for all of them, and a running sum of each
+    runs row adds them to hist.
     """
     width = n_max + 1
-    # hist is flat: (flags * 15 + head * 3 + min(smallest, 3) - 1) * width + weight
+    # hist and runs are flat: (flags * 15 + head * 3 + min(smallest, 3) - 1) * width + weight
     flag_stride = 15 * width
     hist = [0] * ((_ALL_FLAGS + 1) * flag_stride)
+    runs = [0] * len(hist)
     head_at = [head * 3 * width for head in range(5)]
     smallest_at = [0] + [(min(j, 3) - 1) * width + j for j in range(1, width)]
     # flags kept when appending part j below a larger part, or next to an equal one
     below = [0] + [_ALL_FLAGS if j % 4 else _ALL_FLAGS & ~_NO_FOURS for j in range(1, width)]
     equal = [0] + [below[j] & ~(_ODD_DISTINCT if j % 2 else _EVEN_DISTINCT) for j in range(1, width)]
+    ones = _ALL_FLAGS & ~_ODD_DISTINCT  # the flags a second 1 keeps
 
     def walk(w: int, k: int, flags: int, equal_head: int, below_head: int) -> None:
-        # Children of a node of weight w whose last part is k.  Appending a
-        # part equal to k gives head row offset equal_head, a smaller part
+        # Children of a node of weight w whose last part is k > 1.  Appending
+        # a part equal to k gives head row offset equal_head, a smaller part
         # below_head; they differ only under a one-part node.
         room = n_max - w
         j = k if k < room else room
@@ -190,18 +199,25 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
             if j < room:
                 walk(w + j, j, f, equal_head, equal_head)
             j -= 1
-        while j:
+        while j > 1:
             f = flags & below[j]
             hist[f * flag_stride + below_head + smallest_at[j] + w] += 1
             if j < room:
                 walk(w + j, j, f, below_head, below_head)
             j -= 1
+        if j:  # a first 1 keeps every flag; then the run of longer tails of 1s (smallest-1 rows sit at offset 0)
+            hist[flags * flag_stride + below_head + w + 1] += 1
+            if room > 1:
+                runs[(flags & ones) * flag_stride + below_head + w + 2] += 1
 
     hist[_ALL_FLAGS * flag_stride + head_at[_EMPTY]] += 1  # the empty partition
     for a in range(1, width):  # the one-part partitions (a) and their subtrees
         single = _ODD_SINGLE if a % 2 else _EVEN_SINGLE
         hist[below[a] * flag_stride + head_at[single] + smallest_at[a]] += 1
-        if a < n_max:
+        if a == 1:  # below (1) lies only the run (1, 1), (1, 1, 1), ...
+            if n_max > 1:
+                runs[ones * flag_stride + head_at[_ODD_REPEATED] + 2] += 1
+        elif a < n_max:
             walk(a, a, below[a], head_at[single + 1], head_at[single])
 
     tables = {cls: [0] * width for cls in PartitionClass}
@@ -209,7 +225,7 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
         for head in range(5):
             for smallest in (1, 2, 3):
                 start = flags * flag_stride + head_at[head] + (smallest - 1) * width
-                row = hist[start:start + width]
+                row = list(map(add, hist[start:start + width], accumulate(runs[start:start + width])))
                 if any(row):
                     for cls in _code_members(flags, head, smallest):
                         tables[cls] = [a + b for a, b in zip(tables[cls], row)]

@@ -21,7 +21,9 @@ the identity's n.  Every side is a tuple of offset buckets of head
 patterns, read off the identity its map proves, so one listing serves every
 map: each bucket at weight n + offset, its members tagged with the offset
 on a side of two buckets.  This is exactly the counting argument the
-identities rest on.
+identities rest on.  An audit runs each map's unguarded recipes, as
+`_audit_one` explains; `get_bijection` serves the same recipes behind
+their guards.
 
 Every report and record serializes from its own dataclass fields, in
 declaration order, through `core._plain`: the JSON object of an
@@ -35,7 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bijections import Bijection, BijectionId, TaggedPreimage, TotalDecomposition, _side_members, get_bijection
+from .bijections import (
+    _RECIPES,
+    Bijection,
+    BijectionId,
+    TaggedPreimage,
+    TotalDecomposition,
+    _side_members,
+    get_bijection,
+)
 from .core import IDENTITIES, IdentitySpec, Partition, PartitionClass, _check_weight, _plain
 from .counting import ENUM_CAP, SERIES_CLASSES, _aligned, count_table, normalize_backend
 
@@ -205,9 +215,12 @@ def _audit_one(mapping: Bijection, n: int) -> AuditRecord:
 
     forward must be total and injective into the codomain at the right weight,
     and inverse must return each codomain member's recorded preimage; together
-    these prove both round trips.  Whatever a direction raises, a guard's
-    DomainError or a fault in the recipe, is recorded as that member's failure,
-    and so is a forward result that is not a (tagged) partition.
+    these prove both round trips.  The audit runs a map's unguarded recipes
+    (`bijections._RECIPES`): it lists both sides with `_side_members`, so every
+    member it passes a direction is one by construction, and a guard would
+    only test it again.  Whatever a direction raises is recorded as that
+    member's failure, and so is a forward result that is not a (tagged)
+    partition.
     """
     tagged = isinstance(mapping, TotalDecomposition)
     domain, codomain = ([] if n < mapping.min_weight else _side_members(n, side, mapping.primed)
@@ -270,7 +283,7 @@ def audit_bijection_range(key: "BijectionId | str", n_lo: int, n_hi: int) -> Aud
     _check_range(n_lo, n_hi)
     if n_hi > _AUDIT_WEIGHT_CAP:
         raise ValueError(f"audits list both sides of a map in full; n_hi is capped at {_AUDIT_WEIGHT_CAP}")
-    records = _cap_failures([_audit_one(mapping, n) for n in range(n_lo, n_hi + 1)])
+    records = _cap_failures([_audit_one(_RECIPES[mapping.id], n) for n in range(n_lo, n_hi + 1)])
     kind = "total" if isinstance(mapping, TotalDecomposition) else "bijection"
     return AuditReport(
         mapping.name, kind, n_lo, n_hi, "enum", mapping.reconstructed, all(r.passed for r in records), tuple(records)

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from pedpod.bijections import (
+    _RECIPES,
     REGISTRY,
     BijectionId,
     DomainError,
@@ -578,6 +579,22 @@ def test_guards_admit_every_listed_member():
                 assert mapping.in_domain(p), (mapping.name, p)
             for q in _side_members(n, mapping.codomain, mapping.primed):
                 assert mapping.in_codomain(q), (mapping.name, q)
+
+
+def test_served_maps_are_the_audited_recipes():
+    # Audits run the unguarded recipes, so an audit vouches for the public
+    # maps only if each serves those recipes on the same sides: the guarded
+    # directions must answer as the recipes do on every listed member.
+    for bid in BijectionId:
+        served, recipes = REGISTRY[bid], _RECIPES[bid]
+        assert type(served) is type(recipes), bid
+        for field in ("id", "domain", "codomain", "min_weight", "primed", "reconstructed"):
+            assert getattr(served, field) == getattr(recipes, field), (bid, field)
+        for n in range(served.min_weight, 21):
+            for p in _side_members(n, served.domain, served.primed):
+                assert served.forward(p) == recipes.forward(p), (bid, p)
+            for q in _side_members(n, served.codomain, served.primed):
+                assert served.inverse(q) == recipes.inverse(q), (bid, q)
 
 
 def test_thm5_sets_are_disjoint_and_pod():

@@ -9,7 +9,21 @@ import pytest
 
 from pedpod import counting
 from pedpod.core import CLASS_SPECS, Partition, PartitionClass, is_member
-from pedpod.counting import ENUM_CAP, CountTable, class_count, count_table, normalize_backend
+from pedpod.counting import (
+    _ALL_FLAGS,
+    _EMPTY,
+    _EVEN_DISTINCT,
+    _EVEN_SINGLE,
+    _NO_FOURS,
+    _ODD_DISTINCT,
+    _ODD_SINGLE,
+    ENUM_CAP,
+    CountTable,
+    _code_members,
+    class_count,
+    count_table,
+    normalize_backend,
+)
 from pedpod.enumeration import all_partitions, class_members
 
 SERIES_CLASSES = (
@@ -202,6 +216,69 @@ def test_enum_walk_matches_direct_enumeration_with_membership(empty_store):
 def test_enum_matches_dp_at_the_enum_cap(empty_store):
     for cls in PartitionClass:
         assert count_table(cls, ENUM_CAP, "enum").counts == count_table(cls, ENUM_CAP, "dp").counts, cls
+
+
+def _one_by_one_enum_counts(n_max):
+    """The enum walk before it counted each run of trailing 1s in one step, kept as its oracle.
+
+    It visits every partition of weight <= n_max and tallies each one, so a
+    tail of k 1s costs k visits.
+    """
+    width = n_max + 1
+    # hist is flat: (flags * 15 + head * 3 + min(smallest, 3) - 1) * width + weight
+    flag_stride = 15 * width
+    hist = [0] * ((_ALL_FLAGS + 1) * flag_stride)
+    head_at = [head * 3 * width for head in range(5)]
+    smallest_at = [0] + [(min(j, 3) - 1) * width + j for j in range(1, width)]
+    # flags kept when appending part j below a larger part, or next to an equal one
+    below = [0] + [_ALL_FLAGS if j % 4 else _ALL_FLAGS & ~_NO_FOURS for j in range(1, width)]
+    equal = [0] + [below[j] & ~(_ODD_DISTINCT if j % 2 else _EVEN_DISTINCT) for j in range(1, width)]
+
+    def walk(w: int, k: int, flags: int, equal_head: int, below_head: int) -> None:
+        # Children of a node of weight w whose last part is k.  Appending a
+        # part equal to k gives head row offset equal_head, a smaller part
+        # below_head; they differ only under a one-part node.
+        room = n_max - w
+        j = k if k < room else room
+        if j == k:
+            f = flags & equal[j]
+            hist[f * flag_stride + equal_head + smallest_at[j] + w] += 1
+            if j < room:
+                walk(w + j, j, f, equal_head, equal_head)
+            j -= 1
+        while j:
+            f = flags & below[j]
+            hist[f * flag_stride + below_head + smallest_at[j] + w] += 1
+            if j < room:
+                walk(w + j, j, f, below_head, below_head)
+            j -= 1
+
+    hist[_ALL_FLAGS * flag_stride + head_at[_EMPTY]] += 1  # the empty partition
+    for a in range(1, width):  # the one-part partitions (a) and their subtrees
+        single = _ODD_SINGLE if a % 2 else _EVEN_SINGLE
+        hist[below[a] * flag_stride + head_at[single] + smallest_at[a]] += 1
+        if a < n_max:
+            walk(a, a, below[a], head_at[single + 1], head_at[single])
+
+    tables = {cls: [0] * width for cls in PartitionClass}
+    for flags in range(_ALL_FLAGS + 1):
+        for head in range(5):
+            for smallest in (1, 2, 3):
+                start = flags * flag_stride + head_at[head] + (smallest - 1) * width
+                row = hist[start:start + width]
+                if any(row):
+                    for cls in _code_members(flags, head, smallest):
+                        tables[cls] = [a + b for a, b in zip(tables[cls], row)]
+    return {cls: tuple(row) for cls, row in tables.items()}
+
+
+def test_enum_walk_equals_the_one_by_one_oracle():
+    # Class by class, so a mismatch names its class.
+    for n_max in [*range(31), 35, 40, ENUM_CAP]:
+        runs, oracle = counting._enum_counts(n_max), _one_by_one_enum_counts(n_max)
+        assert list(runs) == list(oracle) == list(PartitionClass), n_max
+        for cls in PartitionClass:
+            assert runs[cls] == oracle[cls], (n_max, cls)
 
 
 def test_gt_classes_drop_the_empty_partition_everywhere():

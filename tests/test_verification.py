@@ -232,9 +232,9 @@ def test_audit_detects_misrouted_total():
 
 
 def _failing_audit(monkeypatch, **recipes):
-    """The audit of thm1.add at n = 6 with the registered map's recipes replaced."""
-    broken = dataclasses.replace(bijections.REGISTRY[BijectionId.B1], **recipes)
-    monkeypatch.setitem(bijections.REGISTRY, BijectionId.B1, broken)
+    """The audit of thm1.add at n = 6 with the recipes it audits replaced."""
+    broken = dataclasses.replace(bijections._RECIPES[BijectionId.B1], **recipes)
+    monkeypatch.setitem(bijections._RECIPES, BijectionId.B1, broken)
     report = audit_bijection_range("thm1.add", 6, 6)
     assert not report.overall_pass
     return report

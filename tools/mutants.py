@@ -115,6 +115,12 @@ CATALOGUE = [
     ("exchange-a-drops-filler-2", BIJ, "if filler % 2 or filler == 2:", "if filler % 2:", None),
     ("exchange-b-prime-at-lowest", BIJ, "a != lowest + 1:", "a != lowest:", None),
     ("sub-swaps-below-l-minus-2", BIJ, "p[1] == p[0] - 1:", "p[1] == p[0] - 2:", None),
+    # The enum walk's runs of 1s: the run's code, its first weight, the all-ones run's head, the first 1's flags.
+    ("enum-run-keeps-odd-distinct", COUNT, "runs[(flags & ones) * flag_stride", "runs[flags * flag_stride", None),
+    ("enum-run-starts-at-first-1", COUNT, "below_head + w + 2] += 1", "below_head + w + 1] += 1", None),
+    ("enum-all-ones-run-single-head", COUNT, "head_at[_ODD_REPEATED] + 2]", "head_at[_ODD_SINGLE] + 2]", None),
+    ("enum-first-1-equal-flags", COUNT, "hist[flags * flag_stride + below_head + w + 1]",
+     "hist[(flags & ones) * flag_stride + below_head + w + 1]", None),
     # The guard and single CLASS_SPECS fields.
     ("guard-disabled", BIJ, "if not check(x):", "if False:", None),
     ("spec-d2-three-copies", CORE, "ClassSpec(0, top_parity=1, top_copies=(2, None))",
