@@ -1,5 +1,6 @@
 """Counting back-ends against brute-force oracles and known values."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -184,6 +185,18 @@ def test_dp_matches_the_dense_sweep_at_every_split_and_size(split):
 def test_dp_matches_the_dense_sweep_at_1000():
     for cls in PartitionClass:
         assert counting._dp_counts(cls, 1000) == _dense_dp(cls, 1000), cls
+
+
+# sha256 of one "class:c0,c1,...,c3000" line per class, in PartitionClass
+# order, taken from the DP kernel that swept the parts below the split twice
+# (before the largest-part sweep was merged into the first).  The dense
+# oracle above is too slow past 1000.
+DP_3000_SHA256 = "e2df9a152230bf4df00ddb670c0faab27f8d9060a0aecb64083e4e8f42eedfc5"
+
+
+def test_dp_tables_at_3000_are_pinned():
+    lines = [f"{cls.value}:{','.join(map(str, counting._dp_counts(cls, 3000)))}\n" for cls in PartitionClass]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == DP_3000_SHA256
 
 
 def test_dp_builds_without_the_other_backends(empty_store, monkeypatch):
