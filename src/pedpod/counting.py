@@ -40,21 +40,34 @@ ENUM_CAP = 50
 
 def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> None:
     """Extend a weight-indexed count row by allowing one more part size."""
-    top = len(row) - 1
-    if part % 2 == restricted_parity:
-        for w in range(top, part - 1, -1):  # at most one copy
-            row[w] += row[w - part]
+    if part % 2 == restricted_parity:  # at most one copy; the map is read in full before the slice is written
+        row[part:] = map(add, row[part:], row)
+    else:  # any number of copies
+        _running(row, part)
+
+
+def _running(row: list[int], stride: int) -> None:
+    """Running sums along every residue mod stride: row[w] += row[w - stride] for w ascending.
+
+    One accumulate per residue, or for a long stride one block at a time
+    (each block adds the one below, already summed), whichever takes fewer
+    steps.
+    """
+    if stride * stride <= len(row):
+        for r in range(stride):
+            row[r::stride] = accumulate(row[r::stride])
     else:
-        for w in range(part, top + 1):  # any number of copies
-            row[w] += row[w - part]
+        for b in range(stride, len(row), stride):
+            row[b:b + stride] = map(add, row[b:b + stride], row[b - stride:b])
 
 
 def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
     """Counts by weight of the nonempty partitions into parts >= s that meet the spec.
 
-    The DP counts these here, multiplies in the parts < s one size at a time
-    and, for d1..o3, sums over a largest part < s on top: O(t n^2 / s + n s)
-    additions in O(t n) memory, against n^2 / 2 for a part-by-part sweep.
+    The DP counts these here and multiplies in the parts < s in one sweep
+    from s - 1 down, which a pinned largest part < s of d1..o3 enters as one
+    partition: O(t n^2 / s + n s) additions in O(t n) memory, against n^2 / 2
+    for a part-by-part sweep.
 
     They are counted by their number j of parts: layers[i][w - s*j] counts
     those of weight w with j parts >= s + i, i = 0..t.  Taking t from every
@@ -84,9 +97,8 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
                 if i * j < m:  # count c^j if it is a member, not c^(j-1) plus c
                     step[i * j] += flat(c, j) - (c % 2 != parity and flat(c, j - 1))
             steps.append(step)
-        low = [sum(col) for col in zip(*steps)]
-        for w in range(t * j, m):
-            low[w] += low[w - t * j]
+        low = list(map(sum, zip(*steps)))
+        _running(low, t * j)
         layers = [low]
         for step in steps[:-1]:
             layers.append(list(map(sub, layers[-1], step)))
@@ -96,38 +108,25 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
 
 
 def _dp_counts(partition_class: PartitionClass, n_max: int, split: int | None = None) -> tuple[int, ...]:
-    """Parts >= s by `_large_parts`, times parts < s one size at a time."""
+    """Parts >= s by `_large_parts`, times parts < s in one sweep from s - 1 down to the lowest part."""
     spec = CLASS_SPECS[partition_class]
     parity, lowest, skip_fours, top_parity, (fewest, most) = spec[:5]
     s = max(lowest, split or isqrt(2 * n_max))
-    top = n_max
     out = _large_parts(spec, n_max, s)
     out[0] = int(top_parity is None)  # no large part: a member unless the largest part is pinned
-    for part in range(lowest, s):
+    for part in range(s - 1, lowest - 1, -1):
+        # A pinned largest part enters the sweep as one partition, which the
+        # sizes still to come (its own, for any number of copies, and the
+        # smaller ones) multiply.  No pinned class sets lowest or skip_fours.
+        top = part % 2 == top_parity and part * fewest <= n_max
+        if top and most != 1:
+            out[part * fewest] += 1
         if not (skip_fours and part % 4 == 0):
             _apply_part(out, part, parity)
+        if top and most == 1:
+            out[part] += 1
     if lowest > 1:
         out[0] = 0  # the empty partition is not a member of the >1/>2 classes
-    if top_parity is None:
-        return tuple(out)
-    # Add those whose largest part is < s, summed over that largest part, whose
-    # parity and copies the spec pins (no such class sets lowest or skip_fours);
-    # row counts with parts <= current part size.
-    row = [1] + [0] * top
-    for part in range(1, s):
-        if part % 2 != top_parity:
-            _apply_part(row, part, parity)
-            continue
-        if most == 1:
-            # row still counts parts <= part - 1: no further copies of the largest
-            for n in range(part, top + 1):
-                out[n] += row[n - part]
-            _apply_part(row, part, parity)
-        else:
-            _apply_part(row, part, parity)
-            base = part * fewest
-            for n in range(base, top + 1):
-                out[n] += row[n - base]
     return tuple(out)
 
 

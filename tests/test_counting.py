@@ -170,6 +170,27 @@ def _dense_dp(cls, n_max):
     return tuple(out)
 
 
+def test_kernel_primitives_match_the_per_weight_loops():
+    # Every stride 1..len+1 at lengths 0..40 runs both branches of _running
+    # (one accumulate per residue when stride^2 <= len, else block by block)
+    # and parts >= len, which must leave the row as it is.
+    rng = random.Random(23)
+    for length in range(41):
+        for part in range(1, length + 2):
+            row = [rng.randrange(-10**20, 10**20) for _ in range(length)]
+            for parity in (0, 1):  # at most one copy when part % 2 == parity, else any number
+                got, want = row[:], row[:]
+                counting._apply_part(got, part, parity)
+                _dense_apply_part(want, part, parity)
+                assert got == want, (length, part, parity)
+                if part >= length:
+                    assert got == row, (length, part, parity)
+            got, want = row[:], row[:]
+            counting._running(got, part)
+            _dense_apply_part(want, part, None)
+            assert got == want, (length, part)
+
+
 @pytest.mark.parametrize("split", [None, 2, 3, 4, 5, 6])
 def test_dp_matches_the_dense_sweep_at_every_split_and_size(split):
     # Small splits run every path of the large-part recurrence: t = 1, 2 and

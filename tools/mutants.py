@@ -121,6 +121,30 @@ CATALOGUE = [
     ("enum-all-ones-run-single-head", COUNT, "head_at[_ODD_REPEATED] + 2]", "head_at[_ODD_SINGLE] + 2]", None),
     ("enum-first-1-equal-flags", COUNT, "hist[flags * flag_stride + below_head + w + 1]",
      "hist[(flags & ones) * flag_stride + below_head + w + 1]", None),
+    # The DP kernel: the split's clamp, the flat c^(j-1) removal, where a pinned largest part enters the
+    # descending sweep, and the slice primitives.
+    ("dp-split-below-lowest", COUNT, "s = max(lowest, split or isqrt(2 * n_max))", "s = split or isqrt(2 * n_max)",
+     None),
+    ("dp-flat-keeps-c-j-minus-1", COUNT, "step[i * j] += flat(c, j) - (c % 2 != parity and flat(c, j - 1))",
+     "step[i * j] += flat(c, j)", None),
+    ("dp-repeatable-top-after-its-size", COUNT,
+     "if top and most != 1:\n            out[part * fewest] += 1\n"
+     "        if not (skip_fours and part % 4 == 0):\n            _apply_part(out, part, parity)\n",
+     "if not (skip_fours and part % 4 == 0):\n            _apply_part(out, part, parity)\n"
+     "        if top and most != 1:\n            out[part * fewest] += 1\n", None),
+    ("dp-single-top-before-its-size", COUNT,
+     "if not (skip_fours and part % 4 == 0):\n            _apply_part(out, part, parity)\n"
+     "        if top and most == 1:\n            out[part] += 1\n",
+     "if top and most == 1:\n            out[part] += 1\n"
+     "        if not (skip_fours and part % 4 == 0):\n            _apply_part(out, part, parity)\n", None),
+    ("dp-top-ignores-fewest", COUNT, "out[part * fewest] += 1", "out[part] += 1", None),
+    ("dp-top-bound-strict", COUNT, "part * fewest <= n_max", "part * fewest < n_max", None),
+    ("apply-part-copies-swapped", COUNT, "if part % 2 == restricted_parity:", "if part % 2 != restricted_parity:",
+     None),
+    ("running-block-seam-unsummed", COUNT, "row[b:b + stride] = map(add, row[b:b + stride],",
+     "row[b:b + stride - 1] = map(add, row[b:b + stride - 1],", None),
+    ("running-branch-strict", COUNT, "if stride * stride <= len(row):", "if stride * stride < len(row):",
+     "both branches compute the same running sums; the test only picks the one with fewer steps"),
     # The guard and single CLASS_SPECS fields.
     ("guard-disabled", BIJ, "if not check(x):", "if False:", None),
     ("spec-d2-three-copies", CORE, "ClassSpec(0, top_parity=1, top_copies=(2, None))",
