@@ -109,6 +109,18 @@ def test_series_matches_dp_at_600(empty_store):
         assert count_table(cls, 600, "series").counts == count_table(cls, 600, "dp").counts, cls
 
 
+# sha256 of one "class:c0,c1,...,c3000" line per series class, in
+# SERIES_CLASSES order, taken from the series back-end that expanded each
+# class's quotient on its own (before the classes sharing a quotient were
+# built together).  The dense oracle above is too slow past 400.
+SERIES_3000_SHA256 = "59b08d9b497959c00084355582599ee862eb2b5f09daeea4312debef9319f1df"
+
+
+def test_series_tables_at_3000_are_pinned(empty_store):
+    lines = [f"{cls.value}:{','.join(map(str, count_table(cls, 3000, 'series').counts))}\n" for cls in SERIES_CLASSES]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SERIES_3000_SHA256
+
+
 def test_series_builds_without_the_other_backends(empty_store, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the series back-end called another back-end")
