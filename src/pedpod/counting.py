@@ -20,8 +20,10 @@ Python int, so counts never overflow.
 Tables are cached as one growing table per (back-end, class).  The count at
 weight n does not depend on how far a table runs, so a request is served as
 a prefix of the longest table built so far, and only a longer request
-rebuilds it, to exactly the requested length.  Memory is bounded by the
-largest n requested.  Back-ends never read each other's tables.
+rebuilds it, to exactly the requested length.  An enum build fills every
+class, and a series build every class that shares its eta quotient, so
+those classes' tables always have the same length.  Memory is bounded by
+the largest n requested.  Back-ends never read each other's tables.
 """
 
 from __future__ import annotations
@@ -233,6 +235,7 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
 
 # Each class's series as a quotient of Euler's function E(q) = prod_k (1 - q^k):
 # the pairs (a, power) stand for the factors E(q^a)^power, power = +1 or -1.
+# One build expands a quotient once for every class with the same factors.
 _SERIES_FACTORS = {
     # ped: prod (1 + q^2k) / prod (1 - q^(2k-1)) = E(q^4) / E(q).
     PartitionClass.PED: ((4, 1), (1, -1)),
@@ -301,8 +304,8 @@ def _euler_terms(a: int, n_max: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
-def _series_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
-    """Coefficients q^0..q^n_max of the class's eta quotient.
+def _series_counts(partition_class: PartitionClass, n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
+    """Coefficients q^0..q^n_max of the class's eta quotient, for every class with that quotient.
 
     Multiplying by a factor runs the weights downwards, so each coefficient
     reads the lower ones before they change; dividing runs them upwards and
@@ -327,11 +330,10 @@ def _series_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ..
                     break
                 acc -= coeffs[w - d]
             coeffs[w] += acc if power == 1 else -acc
-    if partition_class in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
-        for w in range(n_max, 0, -1):  # times 1 - q
-            coeffs[w] -= coeffs[w - 1]
-        coeffs[0] = 0  # empty-partition convention, matching the other back-ends
-    return tuple(coeffs)
+    counts = tuple(coeffs)
+    gt = (0, *map(sub, counts[1:], counts))  # times 1 - q, with 0 at weight 0 as in the other back-ends
+    return {cls: gt if cls in (PartitionClass.PED_GT1, PartitionClass.POD_GT2) else counts
+            for cls, quotient in _SERIES_FACTORS.items() if quotient == factors}
 
 
 # The longest table built so far for each (back-end tag, class).
@@ -355,12 +357,11 @@ def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tup
     if len(counts) <= n_max:
         if not isinstance(partition_class, PartitionClass):
             raise _not_a_class(partition_class)
-        if tag == "ENUM":
-            _TABLES.update(((tag, cls), row) for cls, row in _enum_counts(n_max).items())
-        elif tag == "DP":
+        if tag == "DP":
             _TABLES[key] = _dp_counts(partition_class, n_max)
-        else:
-            _TABLES[key] = _series_counts(partition_class, n_max)
+        else:  # one enum walk fills every class, one series build every class with the same quotient
+            built = _enum_counts(n_max) if tag == "ENUM" else _series_counts(partition_class, n_max)
+            _TABLES.update(((tag, cls), row) for cls, row in built.items())
         counts = _TABLES[key]
     return counts
 

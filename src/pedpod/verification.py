@@ -36,6 +36,7 @@ no further code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import eq
 
 from .bijections import (
     _RECIPES,
@@ -147,21 +148,21 @@ def verify_identity(
         )
     tables = {cls: count_table(cls, n_hi + r, tag).counts for cls, r in reach_of.items()}
 
-    def term(cls: PartitionClass, n: int, off: int) -> int:
-        idx = n + off
-        return tables[cls][idx] if idx >= 0 else 0
+    def column(cls: PartitionClass, off: int) -> tuple[int, ...]:
+        # The term at n_lo..n_hi, zeros below weight 0; both slice ends are clamped, so a column
+        # reaching no weight >= 0 is all zeros and every column is n_hi - n_lo + 1 long.
+        lo = n_lo + off
+        return (0,) * min(-lo, n_hi - n_lo + 1) + tables[cls][max(lo, 0):max(n_hi + off + 1, 0)]
 
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        lhs_values = tuple(term(cls, n, off) for cls, off in spec.lhs)
-        rhs_value = term(spec.rhs[0], n, spec.rhs[1])
-        lhs_total = sum(lhs_values)
-        rows.append(
-            IdentityRow(n, lhs_values, lhs_total, rhs_value, lhs_total == rhs_value, n >= spec.threshold)
-        )
-    overall = all(r.equal for r in rows if r.checked)
+    lhs = list(zip(*(column(cls, off) for cls, off in spec.lhs), strict=True))  # each row's terms
+    rhs = column(*spec.rhs)
+    totals = list(map(sum, lhs))
+    ns = range(n_lo, n_hi + 1)
+    checked = [n >= spec.threshold for n in ns]
+    rows = tuple(map(IdentityRow, ns, lhs, totals, rhs, map(eq, totals, rhs), checked))
+    overall = all(r.equal or not r.checked for r in rows)
     return IdentityReport(
-        spec.identity_id, spec.describe(), n_lo, n_hi, spec.threshold, tag.lower(), overall, tuple(rows)
+        spec.identity_id, spec.describe(), n_lo, n_hi, spec.threshold, tag.lower(), overall, rows
     )
 
 

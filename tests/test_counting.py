@@ -101,7 +101,7 @@ def _dense_series(cls, n_max):
 @pytest.mark.parametrize("n_max", [*range(13), 400])
 def test_series_matches_the_dense_product_expansion(n_max):
     for cls in SERIES_CLASSES:
-        assert counting._series_counts(cls, n_max) == _dense_series(cls, n_max), cls
+        assert counting._series_counts(cls, n_max)[cls] == _dense_series(cls, n_max), cls
 
 
 def test_series_matches_dp_at_600(empty_store):
@@ -375,6 +375,11 @@ BACKEND_CLASSES = {
     "dp": tuple(PartitionClass),
     "series": SERIES_CLASSES,
 }
+# The series classes by eta quotient: E(q^4) / E(q), and E(q^2) / (E(q) E(q^4)).
+SERIES_GROUPS = (
+    (PartitionClass.PED, PartitionClass.PED_GT1, PartitionClass.FOUR_REGULAR),
+    (PartitionClass.POD, PartitionClass.POD_GT2),
+)
 # (small, large) request sizes per back-end; enum stays cheap well below its cap.
 SIZES = {"enum": (12, 26), "dp": (40, 150), "series": (40, 150)}
 
@@ -459,13 +464,23 @@ def test_store_keeps_one_longest_table_per_backend_and_class(empty_store):
     for backend, cls, n, _ in calls:
         key = (backend.upper(), cls)
         longest[key] = max(longest.get(key, -1), n)
-    enum_top = max((n for (tag, _), n in longest.items() if tag == "ENUM"), default=None)
-    if enum_top is not None:  # one enum build fills every class
-        longest.update({("ENUM", cls): enum_top for cls in PartitionClass})
+    # One enum build fills every class, one series build every class of its quotient group.
+    for tag, group in [("ENUM", tuple(PartitionClass)), *(("SERIES", group) for group in SERIES_GROUPS)]:
+        top = max((n for (t, cls), n in longest.items() if t == tag and cls in group), default=None)
+        if top is not None:
+            longest.update({(tag, cls): top for cls in group})
     assert {key: len(t) - 1 for key, t in empty_store.items()} == longest
     reference = {cls: count_table(cls, 300, "dp").counts for cls in PartitionClass}
     for backend, cls, n, value in calls:
         assert value == reference[cls][n], (backend, cls, n)
+
+
+@pytest.mark.parametrize("group", SERIES_GROUPS)
+def test_a_series_request_stores_exactly_its_quotient_group(group, empty_store):
+    for cls in group:
+        empty_store.clear()
+        count_table(cls, 50, "series")
+        assert {key: len(t) for key, t in empty_store.items()} == {("SERIES", c): 51 for c in group}, cls
 
 
 def _store_errors():

@@ -15,11 +15,13 @@ from pedpod.bijections import (
 )
 from pedpod.core import CLASS_SPECS, Partition, PartitionClass
 from pedpod import bijections, core, counting
-from pedpod.counting import class_count, count_table
+from pedpod.counting import ENUM_CAP, class_count, count_table
 from pedpod.enumeration import all_partitions, class_members, partitions_of
 from pedpod.verification import (
     IDENTITIES,
     AuditRecord,
+    IdentityReport,
+    IdentityRow,
     _audit_one,
     _cap_failures,
     audit_bijection_range,
@@ -109,6 +111,59 @@ def test_verify_reports_the_canonical_backend_name():
         report = verify_identity("T1", 0, 2, given)
         assert report.backend == report.to_obj()["backend"] == name
         assert f"[backend={name}, n=0..2]" in report.to_table().splitlines()[0]
+
+
+def _row_by_row(identity, n_lo, n_hi, backend="dp"):
+    """The report verify_identity built one row at a time before it built each term as a column, kept as an oracle."""
+    spec = get_identity(identity)
+    reach_of = {}
+    for cls, off in (*spec.lhs, spec.rhs):
+        reach_of[cls] = max(reach_of.get(cls, 0), off)
+    tables = {cls: count_table(cls, n_hi + r, backend).counts for cls, r in reach_of.items()}
+
+    def term(cls, n, off):
+        idx = n + off
+        return tables[cls][idx] if idx >= 0 else 0
+
+    rows = []
+    for n in range(n_lo, n_hi + 1):
+        lhs_values = tuple(term(cls, n, off) for cls, off in spec.lhs)
+        rhs_value = term(spec.rhs[0], n, spec.rhs[1])
+        lhs_total = sum(lhs_values)
+        rows.append(IdentityRow(n, lhs_values, lhs_total, rhs_value, lhs_total == rhs_value, n >= spec.threshold))
+    overall = all(r.equal for r in rows if r.checked)
+    return IdentityReport(
+        spec.identity_id, spec.describe(), n_lo, n_hi, spec.threshold, backend, overall, tuple(rows)
+    )
+
+
+def _assert_rows_match_the_oracle(identity, n_lo, n_hi, backend="dp"):
+    report = verify_identity(identity, n_lo, n_hi, backend)
+    assert report == _row_by_row(identity, n_lo, n_hi, backend), (identity, n_lo, n_hi, backend)
+    assert len(report.rows) == n_hi - n_lo + 1
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_identity_rows_match_the_row_by_row_oracle(identity):
+    # Every window to 8 reads the n-3 and n-1 terms wholly below weight 0 (n_hi + offset < 0).
+    for n_hi in range(9):
+        for n_lo in range(n_hi + 1):
+            _assert_rows_match_the_oracle(identity, n_lo, n_hi)
+    for n_lo in (0, 995):
+        _assert_rows_match_the_oracle(identity, n_lo, 1000)
+    top = ENUM_CAP - max(off for _, off in (*IDENTITIES[identity].lhs, IDENTITIES[identity].rhs))
+    for n_lo, n_hi in [(0, top), (1, top), (top - 3, top), (top, top), *((n, n + 4) for n in range(0, top - 3, 5))]:
+        _assert_rows_match_the_oracle(identity, n_lo, n_hi, "enum")
+
+
+def test_identity_rows_match_the_oracle_on_a_wrong_table(monkeypatch):
+    wrong = list(count_table(PartitionClass.PED, 12).counts)
+    wrong[7] += 1
+    monkeypatch.setattr(counting, "_TABLES", {("DP", PartitionClass.PED): tuple(wrong)})
+    for n_lo, n_hi in ((0, 10), (7, 7), (0, 6), (8, 12)):
+        report = verify_identity("T1", n_lo, n_hi)
+        assert report == _row_by_row("T1", n_lo, n_hi)
+        assert report.overall_pass == (n_hi < 7 or n_lo > 7)
 
 
 def test_identity_report_serialization():
@@ -371,7 +426,7 @@ def test_cross_check_small():
 
 def test_cross_check_catches_a_wrong_series_table(monkeypatch):
     monkeypatch.setattr(counting, "_TABLES", {})
-    monkeypatch.setattr(counting, "_series_counts", lambda cls, n_max: (1,) * (n_max + 1))
+    monkeypatch.setattr(counting, "_series_counts", lambda cls, n_max: {cls: (1,) * (n_max + 1)})
     report = cross_check_counts(30)
     passed = {r.name: r.passed for r in report.records}
     assert not report.overall_pass
@@ -428,7 +483,7 @@ def test_verify_builds_each_table_only_as_far_as_it_reads(identity, rhs_class, s
 
 def test_a_failing_cross_check_in_every_format(monkeypatch):
     monkeypatch.setattr(counting, "_TABLES", {})
-    monkeypatch.setattr(counting, "_series_counts", lambda cls, n_max: (1,) * (n_max + 1))
+    monkeypatch.setattr(counting, "_series_counts", lambda cls, n_max: {cls: (1,) * (n_max + 1)})
     report = cross_check_counts(30)
     failed = [r for r in report.records if not r.passed]
     assert failed and all(len(r.mismatches) == 20 for r in failed)  # the first 20 weights that differ

@@ -145,6 +145,26 @@ CATALOGUE = [
      "row[b:b + stride - 1] = map(add, row[b:b + stride - 1],", None),
     ("running-branch-strict", COUNT, "if stride * stride <= len(row):", "if stride * stride < len(row):",
      "both branches compute the same running sums; the test only picks the one with fewer steps"),
+    # The series back-end: one factor's power or base, the quotient groups one build fills, the (1 - q) step.
+    ("series-ped-power-flipped", COUNT, "PartitionClass.PED: ((4, 1), (1, -1))",
+     "PartitionClass.PED: ((4, -1), (1, -1))", None),
+    ("series-pod-power-flipped", COUNT, "PartitionClass.POD: ((2, 1), (1, -1), (4, -1))",
+     "PartitionClass.POD: ((2, 1), (1, -1), (4, 1))", None),
+    ("series-four-regular-base-2", COUNT, "PartitionClass.FOUR_REGULAR: ((4, 1), (1, -1))",
+     "PartitionClass.FOUR_REGULAR: ((2, 1), (1, -1))", None),
+    ("series-pod-gt2-base-2", COUNT, "PartitionClass.POD_GT2: ((2, 1), (1, -1), (4, -1))",
+     "PartitionClass.POD_GT2: ((2, 1), (1, -1), (2, -1))", None),
+    ("series-fills-every-class", COUNT, "for cls, quotient in _SERIES_FACTORS.items() if quotient == factors}",
+     "for cls in _SERIES_FACTORS}", None),
+    ("series-drops-one-minus-q", COUNT, "gt = (0, *map(sub, counts[1:], counts))", "gt = counts", None),
+    ("series-one-minus-q-on-ped", COUNT, "cls in (PartitionClass.PED_GT1, PartitionClass.POD_GT2)",
+     "cls in (PartitionClass.PED, PartitionClass.PED_GT1, PartitionClass.POD_GT2)", None),
+    # Identity rows by columns: the zeros below weight 0, both slice ends' clamps, the verdict.
+    ("column-end-unclamped", VER, ":max(n_hi + off + 1, 0)]", ":n_hi + off + 1]", None),
+    ("column-start-unclamped", VER, "tables[cls][max(lo, 0):", "tables[cls][lo:", None),
+    ("column-zeros-unclamped", VER, "(0,) * min(-lo, n_hi - n_lo + 1)", "(0,) * -lo", None),
+    ("verdict-reads-info-rows", VER, "all(r.equal or not r.checked for r in rows)", "all(r.equal for r in rows)",
+     None),
     # The guard and single CLASS_SPECS fields.
     ("guard-disabled", BIJ, "if not check(x):", "if False:", None),
     ("spec-d2-three-copies", CORE, "ClassSpec(0, top_parity=1, top_copies=(2, None))",
