@@ -357,7 +357,9 @@ def test_count_and_list_bytes_are_pinned(cls, capsys):
 
 
 # sha256 of stdout for the report commands (verify, audit, crosscheck and the
-# README's apply examples) in all three formats.
+# README's apply examples) in all three formats.  The apply forms cover a plain
+# map both ways and a total forward and inverse at each tag, so the JSON key
+# order of every apply branch is pinned, not only its dict.
 _PINNED_REPORT_DIGESTS = {
     ("verify --identity T1 --to 60", "table"): "cc2bcd780f34adf2f989a3627905f2a97f1ef1084c3a3f27c6e83c838bddcc79",
     ("verify --identity T1 --to 60", "csv"): "669c7ea92c40703d0a58b6951176f820a9a28a4db9eefa1627daaa2180493094",
@@ -431,6 +433,15 @@ _PINNED_REPORT_DIGESTS = {
     ("apply --bijection thm2.total --partition (1,1) --inverse --tag n-3", "table"): "9ab538b9d52de28b08a60ec546e26aafa0d1516050da25f0d16d22c84bc75520",
     ("apply --bijection thm2.total --partition (1,1) --inverse --tag n-3", "csv"): "773703ea1ef66cb8e4e432699c68cd5b48ff8516308fd4be0c52c3284792fdc0",
     ("apply --bijection thm2.total --partition (1,1) --inverse --tag n-3", "json"): "7ac7abf35e333992ce5317e581a5b2812f264875bcf7cb8ff87a2196d6372d9e",
+    ("apply --bijection thm1.add --partition (4,3,2) --inverse", "table"): "53e6f434b48da15e277baa6b09ef8f9da1d513831539e10693a71fdcd14f650e",
+    ("apply --bijection thm1.add --partition (4,3,2) --inverse", "csv"): "4137465bf35409862c795c0043141b9fe25266036605c2ed710a52cfdef63182",
+    ("apply --bijection thm1.add --partition (4,3,2) --inverse", "json"): "61bc1889ef4cabefd9b01c4b8c68449ce6bd63865f4c75d92d0524db6f180520",
+    ("apply --bijection thm5.total --partition (5)", "table"): "f6ae287dadfa7cfec4b69db5fcd9d6bc05be913d2d4389a1f468c8eaebfd1e77",
+    ("apply --bijection thm5.total --partition (5)", "csv"): "f28b2a1050ec3d75fa284b9d22d45c3816ec020e478d05783907f783f47e8330",
+    ("apply --bijection thm5.total --partition (5)", "json"): "3c0034ab4796c9225ae643fd9216f2b49aa7d118c05d2ffe6e42b9e0032ef018",
+    ("apply --bijection thm2.total --partition (5,5,1) --inverse --tag n", "table"): "e17ba6c11fbd444d08ef84e2ec63a6e1321e1e044c338753c833cfc729e429f9",
+    ("apply --bijection thm2.total --partition (5,5,1) --inverse --tag n", "csv"): "1cd4501f81e88e3b2e367a1f36f201568f35e806a1d60e06091dc6f323ebce6e",
+    ("apply --bijection thm2.total --partition (5,5,1) --inverse --tag n", "json"): "62d6a0ab7fbb55115139281d89a1cee8067e5695309baab7500d669f452f4dfd",
 }
 
 
