@@ -103,7 +103,7 @@ class _Applied(NamedTuple):
 
 def _cmd_apply(args):
     mapping = get_bijection(args.bijection)
-    p = parse_partition(args.partition)
+    p = x = parse_partition(args.partition)
     is_total = isinstance(mapping, TotalDecomposition)
     if args.tag is not None and not (is_total and args.inverse):
         raise ValueError("--tag only applies when inverting a tagged decomposition")
@@ -111,20 +111,12 @@ def _cmd_apply(args):
         if args.tag is None:
             tags = " or ".join(f"--tag {tag}" for tag in _TAG_OFFSETS)
             raise ValueError(f"inverting a tagged decomposition needs {tags}")
-        result = mapping.inverse(TaggedPreimage(_TAG_OFFSETS[args.tag], p))
-        payload = {"input": list(p), "tag": args.tag, "output": list(result)}
-        text = result.to_text()
-    elif is_total:
-        tagged = mapping.forward(p)
-        payload = {"input": list(p), "output": list(tagged.partition), "tag": tagged.tag_text()}
-        text = str(tagged)
-    else:
-        result = mapping.inverse(p) if args.inverse else mapping.forward(p)
-        payload = {"input": list(p), "output": list(result)}
-        text = result.to_text()
-    payload["bijection"] = mapping.name
-    payload["direction"] = "inverse" if args.inverse else "forward"
-    return _Applied(payload, text)
+        x = TaggedPreimage(_TAG_OFFSETS[args.tag], p)
+    y = mapping.inverse(x) if args.inverse else mapping.forward(x)
+    x_tag, y_tag = ({"tag": z.tag_text()} if isinstance(z, TaggedPreimage) else {} for z in (x, y))
+    payload = {"input": list(p), **x_tag, "output": list(y.partition if y_tag else y), **y_tag,
+               "bijection": mapping.name, "direction": "inverse" if args.inverse else "forward"}
+    return _Applied(payload, str(y))
 
 
 def _cmd_audit(args):

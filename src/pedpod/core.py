@@ -31,7 +31,8 @@ part of L-1 or none above L-2, and ask for some part at most `small`.
 `IDENTITIES` states the six identities (see `verification`) as terms, each
 a class at an offset from the identity weight n, with the least n from
 which each holds.  `verification` checks them numerically, and the proof
-maps in `bijections` read their sides and gates off them.
+maps in `bijections` read their sides and gates off them.  `Report`, `_plain`
+and `_aligned` are the one output format that every result shares.
 """
 
 from __future__ import annotations
@@ -226,8 +227,12 @@ def _check_weight(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be a non-negative int, got {n!r}")
 
 
-def _plain(record, **keys: str) -> dict:
-    """A record's JSON object: its dataclass fields in declaration order, each under its name or its key in `keys`.
+# The two JSON keys that differ from their field's name, in every record at every depth.
+_RENAMED = {"partition_class": "class", "identity_id": "identity"}
+
+
+def _plain(record) -> dict:
+    """A record's JSON object: its dataclass fields in declaration order, each under its name or its `_RENAMED` key.
 
     A class is written as its name and a tuple as a list, in which a tuple
     (a partition) is a list and a record is its own object.
@@ -243,7 +248,23 @@ def _plain(record, **keys: str) -> dict:
             return [list(v) for v in x]
         return [_plain(v) for v in x] if is_dataclass(first) else list(x)
 
-    return {keys.get(field.name, field.name): value(getattr(record, field.name)) for field in fields(record)}
+    return {_RENAMED.get(field.name, field.name): value(getattr(record, field.name)) for field in fields(record)}
+
+
+class Report:
+    """The output of a result dataclass: JSON from its fields, csv from the rows of its `_grid`."""
+
+    def to_obj(self) -> dict:
+        return _plain(self)
+
+    def to_csv(self) -> str:
+        return "\n".join(",".join(row) for row in self._grid())
+
+
+def _aligned(title: str, grid: list[list[str]]) -> str:
+    """A title line over the grid's rows, each column right-justified and two spaces apart."""
+    row_format = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*grid))  # "{:>w1}  {:>w2} ..."
+    return "\n".join([title] + [row_format.format(*row) for row in grid])
 
 
 def _not_a_class(selector: object) -> ValueError:

@@ -24,6 +24,8 @@ rebuilds it, to exactly the requested length.  An enum build fills every
 class, and a series build every class that shares its eta quotient, so
 those classes' tables always have the same length.  Memory is bounded by
 the largest n requested.  Back-ends never read each other's tables.
+A `CountTable` renders like every report, through `core.Report` and
+`core._aligned`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import add, sub
 
-from .core import CLASS_SPECS, ClassSpec, PartitionClass, _check_weight, _not_a_class, _plain
+from .core import CLASS_SPECS, ClassSpec, PartitionClass, Report, _aligned, _check_weight, _not_a_class
 
 BACKENDS = ("enum", "dp", "series")
 _TAGS = tuple(name.upper() for name in BACKENDS)  # as normalize_backend returns them
@@ -253,7 +255,7 @@ SERIES_CLASSES = tuple(_SERIES_FACTORS)
 
 
 @dataclass(frozen=True)
-class CountTable:
+class CountTable(Report):
     """Counts for one class at weights 0..n_max, tagged with the backend."""
 
     partition_class: PartitionClass
@@ -264,20 +266,8 @@ class CountTable:
     def _grid(self) -> list[list[str]]:
         return [["n", "count"]] + [[str(n), str(c)] for n, c in enumerate(self.counts)]
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._grid())
-
     def to_table(self) -> str:
         return _aligned(f"{self.partition_class.value} counts, backend={self.backend}", self._grid())
-
-    def to_obj(self) -> dict:
-        return _plain(self, partition_class="class")
-
-
-def _aligned(title: str, grid: list[list[str]]) -> str:
-    """A title line over the grid's rows, each column right-justified and two spaces apart."""
-    row_format = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*grid))  # "{:>w1}  {:>w2} ..."
-    return "\n".join([title] + [row_format.format(*row) for row in grid])
 
 
 def normalize_backend(backend: str) -> str:

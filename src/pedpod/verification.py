@@ -29,8 +29,10 @@ Every report and record serializes from its own dataclass fields, in
 declaration order, through `core._plain`: the JSON object of an
 IdentityReport, AuditReport or CrossCheckReport, and of each IdentityRow,
 AuditRecord or CrossCheckRecord in it, is its fields, with `identity_id`
-written as "identity".  A field added to any of them reaches the JSON with
-no further code.
+written as "identity" by the one rename table, `core._RENAMED`.  A field
+added to any of them reaches the JSON with no further code.  The reports
+inherit `to_obj` and `to_csv` from `core.Report`, so each writes its csv
+from the rows of its `_grid`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .bijections import (
     _side_members,
     get_bijection,
 )
-from .core import IDENTITIES, IdentitySpec, Partition, PartitionClass, _check_weight, _plain
-from .counting import ENUM_CAP, SERIES_CLASSES, _aligned, count_table, normalize_backend
+from .core import IDENTITIES, IdentitySpec, Partition, PartitionClass, Report, _aligned, _check_weight
+from .counting import ENUM_CAP, SERIES_CLASSES, count_table, normalize_backend
 
 _AUDIT_WEIGHT_CAP = 50
 _FAILURE_CAP = 100
@@ -95,7 +97,7 @@ class IdentityRow:
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Report):
     identity_id: str
     description: str
     n_lo: int
@@ -105,17 +107,11 @@ class IdentityReport:
     overall_pass: bool
     rows: tuple[IdentityRow, ...]
 
-    def to_obj(self) -> dict:
-        return _plain(self, identity_id="identity")
-
     def _grid(self) -> list[list[str]]:
         head = ["n", *IDENTITIES[self.identity_id].term_labels(), "lhs", "rhs", "status"]
         return [head] + [
             [str(r.n), *map(str, r.lhs_values), str(r.lhs_total), str(r.rhs_value), r.status()] for r in self.rows
         ]
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._grid())
 
     def to_table(self) -> str:
         verdict = "PASS" if self.overall_pass else "FAIL"
@@ -180,7 +176,7 @@ class AuditRecord:
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Report):
     subject: str
     kind: str  # "bijection" or "total"
     n_lo: int
@@ -190,14 +186,10 @@ class AuditReport:
     overall_pass: bool
     records: tuple[AuditRecord, ...]
 
-    def to_obj(self) -> dict:
-        return _plain(self)
-
-    def to_csv(self) -> str:
-        lines = ["n,domain_size,codomain_size,passed"]
-        for r in self.records:
-            lines.append(f"{r.n},{r.domain_size},{r.codomain_size},{str(r.passed).lower()}")
-        return "\n".join(lines)
+    def _grid(self) -> list[list[str]]:
+        return [["n", "domain_size", "codomain_size", "passed"]] + [
+            [str(r.n), str(r.domain_size), str(r.codomain_size), str(r.passed).lower()] for r in self.records
+        ]
 
     def to_table(self) -> str:
         verdict = "PASS" if self.overall_pass else "FAIL"
@@ -304,19 +296,13 @@ class CrossCheckRecord:
 
 
 @dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Report):
     n_max: int
     overall_pass: bool
     records: tuple[CrossCheckRecord, ...]
 
-    def to_obj(self) -> dict:
-        return _plain(self)
-
-    def to_csv(self) -> str:
-        lines = ["check,n_hi,passed"]
-        for r in self.records:
-            lines.append(f"{r.name},{r.n_hi},{str(r.passed).lower()}")
-        return "\n".join(lines)
+    def _grid(self) -> list[list[str]]:
+        return [["check", "n_hi", "passed"]] + [[r.name, str(r.n_hi), str(r.passed).lower()] for r in self.records]
 
     def to_table(self) -> str:
         verdict = "PASS" if self.overall_pass else "FAIL"

@@ -175,14 +175,23 @@ CATALOGUE = [
     ("spec-four-regular-keeps-fours", CORE, "ClassSpec(skip_fours=True)", "ClassSpec()", None),
     ("spec-d1-even-top", CORE, "PartitionClass.D1: ClassSpec(0, top_parity=1)",
      "PartitionClass.D1: ClassSpec(0, top_parity=0)", None),
-    # The one report path: _plain's keys and lists, the field order it reads, main's exit code.
-    ("plain-ignores-renames", CORE, "keys.get(field.name, field.name)", "field.name", None),
-    ("count-table-drops-class-key", COUNT, '_plain(self, partition_class="class")', "_plain(self)", None),
-    ("listing-drops-class-key", ENUM, '_plain(self, partition_class="class")', "_plain(self)", None),
+    # The argument checks: a cap's bound, and bools refused as weights.
+    ("cap-inclusive", CLI, "if value > cap:", "if value >= cap:", None),
+    ("check-weight-admits-bool", CORE, "if type(n) is not int or n < 0:", "if not isinstance(n, int) or n < 0:", None),
+    # The one report path: _plain's rename table and lists, the field order it reads, the csv grids, the
+    # apply payload's tag keys, main's exit code.
+    ("plain-ignores-renames", CORE, "_RENAMED.get(field.name, field.name)", "field.name", None),
+    ("renames-drop-class", CORE, '{"partition_class": "class", "identity_id"', '{"identity_id"', None),
+    ("renames-drop-identity", CORE, ', "identity_id": "identity"}', "}", None),
     ("plain-keeps-inner-tuples", CORE, "return [list(v) for v in x]", "return list(x)", None),
     ("plain-keeps-outer-tuples", CORE, "if is_dataclass(first) else list(x)", "if is_dataclass(first) else x", None),
     ("audit-report-swaps-pass-and-reconstructed", VER, "    reconstructed: bool\n    overall_pass: bool\n",
      "    overall_pass: bool\n    reconstructed: bool\n", None),
+    ("audit-csv-passed-capitalised", VER, "str(r.codomain_size), str(r.passed).lower()]",
+     "str(r.codomain_size), str(r.passed)]", None),
+    ("crosscheck-csv-header-name", VER, '[["check", "n_hi", "passed"]]', '[["name", "n_hi", "passed"]]', None),
+    ("apply-tags-swapped", CLI, '**x_tag, "output": list(y.partition if y_tag else y), **y_tag',
+     '**y_tag, "output": list(y.partition if y_tag else y), **x_tag', None),
     ("main-ignores-overall-pass", CLI, 'return 0 if getattr(report, "overall_pass", True) else 1', "return 0", None),
 ]
 
