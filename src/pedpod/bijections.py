@@ -206,7 +206,8 @@ _THM5 = _letters(PartitionClass.POD, 0, 2)
 
 # The primed sets of the thm2 letters, each a test read only on its letter's members.
 _PRIMES = dict(zip(_THM2, (
-    lambda p: len(p) == 1 or (len(p) == 2 and p[1] == 2),  # C': the singleton (n) and the pair (n-2, 2)
+    # C': (n) and the pair (n-2, 2): C's parts are >= 2, its even ones distinct, so a second part 2 is last
+    lambda p: len(p) == 1 or p[1] == 2,
     lambda p: len(p) == 1 or p[1] == p[0] - 2,  # D': (n) and the shapes with the second part exactly L-2
     lambda p: p.count(1) in (2, len(p)),  # A': the all-ones partition and the A members with exactly two 1s
     lambda p: p[0] == 3 and p.weight % 2 == 0,  # B': the shapes (3, 2, 1, ..., 1) of even weight
@@ -220,7 +221,7 @@ def _union_members(n: int, patterns: tuple[ClassSpec, ...], primed: bool | None)
     """The members of weight n (none if n < 0) of a union of disjoint patterns, in decreasing lex order."""
     listings = [_generate_members(n, spec) if primed is None
                 else [p for p in _generate_members(n, spec) if _PRIMES[spec](p) == primed] for spec in patterns]
-    return list(listings[0] if len(listings) == 1 else merge(*listings, reverse=True))
+    return list(merge(*listings, reverse=True))
 
 
 def _side_members(n: int, side: Side, primed: bool | None = None) -> list:
@@ -249,7 +250,7 @@ def _union_test(patterns: tuple[ClassSpec, ...], primed: bool | None, scan=True)
     """The membership test of a union of disjoint patterns; scan=False trusts the distinct parts."""
     tests = [(_predicate(spec if scan else spec._replace(distinct=None)), None if primed is None else _PRIMES[spec])
              for spec in patterns]
-    if len(tests) == 1 and primed is None:
+    if len(tests) == 1 and primed is None:  # the bare predicate: the guards call it without the loop's extra frame
         return tests[0][0]
 
     def member(p: Partition) -> bool:

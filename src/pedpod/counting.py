@@ -11,8 +11,8 @@ Three interchangeable back-ends produce the same tables:
 The DP reads each class from `core.CLASS_SPECS`: one parity forced distinct
 (even parts for the ped family, odd parts for the pod family) or none (all,
 and four_regular, which also skips multiples of 4), and for d1..o3 the parity
-and copies of the largest part.  It splits the parts at s ~ sqrt(2n), as
-`_large_parts` describes.  The enum walk (`_code_members`) and the series
+and copies of the largest part.  It splits the parts at s = isqrt(2n), or at
+the class's lowest part if that is larger, as `_large_parts` describes.  The enum walk (`_code_members`) and the series
 factors (`_SERIES_FACTORS`) encode the classes on their own, on purpose, so
 comparing the back-ends also checks `CLASS_SPECS`.  All arithmetic is plain
 Python int, so counts never overflow.
@@ -53,16 +53,10 @@ def _apply_part(row: list[int], part: int, restricted_parity: int | None) -> Non
 def _running(row: list[int], stride: int) -> None:
     """Running sums along every residue mod stride: row[w] += row[w - stride] for w ascending.
 
-    One accumulate per residue, or for a long stride one block at a time
-    (each block adds the one below, already summed), whichever takes fewer
-    steps.
+    One accumulate per residue; a residue at or past the row's end is empty.
     """
-    if stride * stride <= len(row):
-        for r in range(stride):
-            row[r::stride] = accumulate(row[r::stride])
-    else:
-        for b in range(stride, len(row), stride):
-            row[b:b + stride] = map(add, row[b:b + stride], row[b - stride:b])
+    for r in range(stride):
+        row[r::stride] = accumulate(row[r::stride])
 
 
 def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
@@ -111,11 +105,11 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
     return total
 
 
-def _dp_counts(partition_class: PartitionClass, n_max: int, split: int | None = None) -> tuple[int, ...]:
+def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
     """Parts >= s by `_large_parts`, times parts < s in one sweep from s - 1 down to the lowest part."""
     spec = CLASS_SPECS[partition_class]
     parity, lowest, skip_fours, top_parity, (fewest, most) = spec[:5]
-    s = max(lowest, split or isqrt(2 * n_max))
+    s = max(lowest, isqrt(2 * n_max))
     out = _large_parts(spec, n_max, s)
     out[0] = int(top_parity is None)  # no large part: a member unless the largest part is pinned
     for part in range(s - 1, lowest - 1, -1):
@@ -229,7 +223,7 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
             for smallest in (1, 2, 3):
                 start = flags * flag_stride + head_at[head] + (smallest - 1) * width
                 row = list(map(add, hist[start:start + width], accumulate(runs[start:start + width])))
-                if any(row):
+                if any(row):  # most codes never occur; skip their additions into every member class's row
                     for cls in _code_members(flags, head, smallest):
                         tables[cls] = [a + b for a, b in zip(tables[cls], row)]
     return {cls: tuple(row) for cls, row in tables.items()}

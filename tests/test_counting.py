@@ -183,9 +183,9 @@ def _dense_dp(cls, n_max):
 
 
 def test_kernel_primitives_match_the_per_weight_loops():
-    # Every stride 1..len+1 at lengths 0..40 runs both branches of _running
-    # (one accumulate per residue when stride^2 <= len, else block by block)
-    # and parts >= len, which must leave the row as it is.
+    # Every stride 1..len+1 at lengths 0..40, so _running also meets strides
+    # whose residues run past the row's end, and parts >= len, which must
+    # leave the row as it is.
     rng = random.Random(23)
     for length in range(41):
         for part in range(1, length + 2):
@@ -203,16 +203,14 @@ def test_kernel_primitives_match_the_per_weight_loops():
             assert got == want, (length, part)
 
 
-@pytest.mark.parametrize("split", [None, 2, 3, 4, 5, 6])
-def test_dp_matches_the_dense_sweep_at_every_split_and_size(split):
-    # Small splits run every path of the large-part recurrence: t = 1, 2 and
-    # 4, a split below the smallest part of ped_gt1 and pod_gt2 (clamped), and
-    # flat partitions c^j in and out of each class.  None is the split the
-    # back-end picks, s = 1..20 here.
+def test_dp_matches_the_dense_sweep_at_every_size():
+    # The split the back-end picks runs s = 1..20 here, clamped up to the
+    # smallest part of ped_gt1 and pod_gt2, through t = 1, 2 and 4 and flat
+    # partitions c^j in and out of each class.
     for cls in PartitionClass:
         dense = _dense_dp(cls, 200)
         for n_max in range(201):
-            assert counting._dp_counts(cls, n_max, split) == dense[: n_max + 1], (cls, n_max)
+            assert counting._dp_counts(cls, n_max) == dense[: n_max + 1], (cls, n_max)
 
 
 def test_dp_matches_the_dense_sweep_at_1000():
