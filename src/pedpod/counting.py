@@ -12,10 +12,10 @@ The DP reads each class from `core.CLASS_SPECS`: one parity forced distinct
 (even parts for the ped family, odd parts for the pod family) or none (all,
 and four_regular, which also skips multiples of 4), and for d1..o3 the parity
 and copies of the largest part.  It splits the parts at s = isqrt(2n), or at
-the class's lowest part if that is larger, as `_large_parts` describes.  The enum walk (`_code_members`) and the series
-factors (`_SERIES_FACTORS`) encode the classes on their own, on purpose, so
-comparing the back-ends also checks `CLASS_SPECS`.  All arithmetic is plain
-Python int, so counts never overflow.
+the class's lowest part if that is larger, as `_large_parts` describes.  The
+enum walk (`_code_members`) and the series factors (`_SERIES_FACTORS`) encode
+the classes on their own, on purpose, so comparing the back-ends also checks
+`CLASS_SPECS`.  All arithmetic is plain Python int, so counts never overflow.
 
 Tables are cached as one growing table per (back-end, class).  The count at
 weight n does not depend on how far a table runs, so a request is served as

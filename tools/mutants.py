@@ -72,8 +72,8 @@ CATALOGUE = [
     ("thm5-codomain-drops-b", BIJ, "((0, (c5, d5)),), ((0, (a5, b5)),)", "((0, (c5, d5)),), ((0, (a5,)),)", None),
     ("side-test-ignores-primes", BIJ, "return prime is None or prime(p) == primed", "return True", None),
     ("side-listing-flips-primes", BIJ, "_PRIMES[spec](p) == primed]", "_PRIMES[spec](p) != primed]", None),
-    ("c-prime-any-second-2", BIJ, "len(p) == 1 or (len(p) == 2 and p[1] == 2)", "len(p) == 1 or p[1] == 2",
-     "read only on C members, whose parts are at least 2, so a second part 2 is the last part"),
+    ("side-listing-merge-ascending", BIJ, "merge(*listings, reverse=True)", "merge(*listings)", None),
+    ("c-prime-last-part-2", BIJ, "lambda p: len(p) == 1 or p[1] == 2,", "lambda p: len(p) == 1 or p[-1] == 2,", None),
     ("a-prime-loses-all-ones", BIJ, "p.count(1) in (2, len(p))", "p.count(1) == 2", None),
     ("b-prime-odd-weight", BIJ, "p[0] == 3 and p.weight % 2 == 0", "p[0] == 3 and p.weight % 2 == 1", None),
     ("total-routes-by-codomain", BIJ, "exchanged, restored = _union_test((c, d)",
@@ -121,10 +121,29 @@ CATALOGUE = [
     ("enum-all-ones-run-single-head", COUNT, "head_at[_ODD_REPEATED] + 2]", "head_at[_ODD_SINGLE] + 2]", None),
     ("enum-first-1-equal-flags", COUNT, "hist[flags * flag_stride + below_head + w + 1]",
      "hist[(flags & ones) * flag_stride + below_head + w + 1]", None),
-    # The DP kernel: the split's clamp, the flat c^(j-1) removal, where a pinned largest part enters the
-    # descending sweep, and the slice primitives.
-    ("dp-split-below-lowest", COUNT, "s = max(lowest, split or isqrt(2 * n_max))", "s = split or isqrt(2 * n_max)",
-     None),
+    # The enum codes' classes: a size bound and a head split of _code_members.
+    ("code-members-ped-gt1-keeps-1s", COUNT, "if head != _EMPTY and smallest > 1:",
+     "if head != _EMPTY and smallest > 0:", None),
+    ("code-members-o2-o3-swapped", COUNT, "C.O2 if head == _EVEN_REPEATED else C.O3",
+     "C.O3 if head == _EVEN_REPEATED else C.O2", None),
+    # The DP kernel: the split's clamp, the large-part layers' bounds, shifts and flat partitions, where a
+    # pinned largest part enters the descending sweep, and the slice primitives.
+    ("dp-split-below-lowest", COUNT, "s = max(lowest, isqrt(2 * n_max))", "s = isqrt(2 * n_max)", None),
+    ("large-flat-guard-inclusive", COUNT, "if i * j < m:", "if i * j <= m:", None),
+    ("large-flat-guard-dropped", COUNT, "if i * j < m:", "if True:", None),
+    ("large-layer-ignores-distinct", COUNT, "layers[i + (c % 2 == parity)]", "layers[i]", None),
+    ("large-last-layer-shift-short", COUNT, "layers.append(([0] * t * j + low)[:m])",
+     "layers.append(([0] * (t * j - 1) + low)[:m])", None),
+    ("large-running-stride-t", COUNT, "_running(low, t * j)", "_running(low, t)", None),
+    ("large-skip-fours-step-2", COUNT, "t = 4 if skip_fours else", "t = 2 if skip_fours else", None),
+    ("large-flat-repeats-any-part", COUNT, "and (j == 1 or c % 2 != parity))", "and True)", None),
+    ("large-flat-ignores-most", COUNT, "fewest <= j and (most is None or j <= most)", "fewest <= j", None),
+    ("large-layers-drop-one-step", COUNT, "for step in steps[:-1]:", "for step in steps[:-2]:", None),
+    ("large-keeps-fours", COUNT, "if not (skip_fours and c % 4 == 0):", "if True:", None),
+    ("large-total-one-late", COUNT, "total[s * j:] = map(add, total[s * j:], low)",
+     "total[s * j + 1:] = map(add, total[s * j + 1:], low)", None),
+    ("large-j-range-short", COUNT, "for j in range(1, n_max // s + 1):", "for j in range(1, n_max // s):", None),
+    ("large-layer-length-short", COUNT, "m = n_max + 1 - s * j", "m = n_max - s * j", None),
     ("dp-flat-keeps-c-j-minus-1", COUNT, "step[i * j] += flat(c, j) - (c % 2 != parity and flat(c, j - 1))",
      "step[i * j] += flat(c, j)", None),
     ("dp-repeatable-top-after-its-size", COUNT,
@@ -141,11 +160,9 @@ CATALOGUE = [
     ("dp-top-bound-strict", COUNT, "part * fewest <= n_max", "part * fewest < n_max", None),
     ("apply-part-copies-swapped", COUNT, "if part % 2 == restricted_parity:", "if part % 2 != restricted_parity:",
      None),
-    ("running-block-seam-unsummed", COUNT, "row[b:b + stride] = map(add, row[b:b + stride],",
-     "row[b:b + stride - 1] = map(add, row[b:b + stride - 1],", None),
-    ("running-branch-strict", COUNT, "if stride * stride <= len(row):", "if stride * stride < len(row):",
-     "both branches compute the same running sums; the test only picks the one with fewer steps"),
-    # The series back-end: one factor's power or base, the quotient groups one build fills, the (1 - q) step.
+    ("running-skips-last-residue", COUNT, "for r in range(stride):", "for r in range(stride - 1):", None),
+    # The series back-end: one factor's power or base, the pentagonal terms, the quotient groups one build
+    # fills, the (1 - q) step.
     ("series-ped-power-flipped", COUNT, "PartitionClass.PED: ((4, 1), (1, -1))",
      "PartitionClass.PED: ((4, -1), (1, -1))", None),
     ("series-pod-power-flipped", COUNT, "PartitionClass.POD: ((2, 1), (1, -1), (4, -1))",
@@ -154,6 +171,9 @@ CATALOGUE = [
      "PartitionClass.FOUR_REGULAR: ((2, 1), (1, -1))", None),
     ("series-pod-gt2-base-2", COUNT, "PartitionClass.POD_GT2: ((2, 1), (1, -1), (4, -1))",
      "PartitionClass.POD_GT2: ((2, 1), (1, -1), (2, -1))", None),
+    ("euler-drops-second-pentagonal", COUNT, "for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)",
+     "for g in (k * (3 * k - 1) // 2,)", None),
+    ("euler-signs-swapped", COUNT, "side = minus if k % 2 else plus", "side = plus if k % 2 else minus", None),
     ("series-fills-every-class", COUNT, "for cls, quotient in _SERIES_FACTORS.items() if quotient == factors}",
      "for cls in _SERIES_FACTORS}", None),
     ("series-drops-one-minus-q", COUNT, "gt = (0, *map(sub, counts[1:], counts))", "gt = counts", None),
