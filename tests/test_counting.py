@@ -325,6 +325,19 @@ def test_enum_walk_equals_the_one_by_one_oracle():
             assert runs[cls] == oracle[cls], (n_max, cls)
 
 
+# sha256 of one "class:c0,c1,...,c50" line per class, in PartitionClass
+# order, taken from the enum walk that tallied into one flat list at stride
+# and offset positions (before it tallied into rows by flags, head and
+# smallest part).
+ENUM_CAP_SHA256 = "d845f6adfaef4d73639a36b197582eddaebb86c2537426faa188c371714430a5"
+
+
+def test_enum_tables_at_the_cap_are_pinned():
+    tables = counting._enum_counts(ENUM_CAP)
+    lines = [f"{cls.value}:{','.join(map(str, tables[cls]))}\n" for cls in PartitionClass]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ENUM_CAP_SHA256
+
+
 def test_gt_classes_drop_the_empty_partition_everywhere():
     for cls in (PartitionClass.PED_GT1, PartitionClass.POD_GT2):
         assert count_table(cls, 6, "enum").counts[0] == 0
