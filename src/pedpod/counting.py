@@ -20,11 +20,12 @@ the classes on their own, on purpose, so comparing the back-ends also checks
 Tables are cached as one growing table per (back-end, class).  The count at
 weight n does not depend on how far a table runs, so a request is served as
 a prefix of the longest table built so far, and only a longer request
-rebuilds it, to exactly the requested length.  An enum build fills every
-class, and a series build every class that shares its eta quotient, so
-those classes' tables always have the same length.  Memory is bounded by
-the largest n requested.  Back-ends never read each other's tables.
-A `CountTable` renders like every report, through `core.Report` and
+rebuilds it, to exactly the requested length.  The store keeps every table
+a build returns: a dp build fills its own class, an enum build every class,
+and a series build every class that shares its eta quotient, so the classes
+of one build always have tables of the same length.  Memory is bounded by
+the largest n requested.  Back-ends never read each other's tables.  A
+`CountTable` renders like every report, through `core.Report` and
 `core._aligned`.
 """
 
@@ -105,8 +106,8 @@ def _large_parts(spec: ClassSpec, n_max: int, s: int) -> list[int]:
     return total
 
 
-def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
-    """Parts >= s by `_large_parts`, times parts < s in one sweep from s - 1 down to the lowest part."""
+def _dp_counts(partition_class: PartitionClass, n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
+    """The class's table: parts >= s by `_large_parts`, times parts < s in one sweep from s - 1 down."""
     spec = CLASS_SPECS[partition_class]
     parity, lowest, skip_fours, top_parity, (fewest, most) = spec[:5]
     s = max(lowest, isqrt(2 * n_max))
@@ -125,7 +126,7 @@ def _dp_counts(partition_class: PartitionClass, n_max: int) -> tuple[int, ...]:
             out[part] += 1
     if lowest > 1:
         out[0] = 0  # the empty partition is not a member of the >1/>2 classes
-    return tuple(out)
+    return {partition_class: tuple(out)}
 
 
 # The enum walk tallies each partition under a node code: three flags (even
@@ -165,20 +166,17 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
     The walk runs over the tree of partitions of weight <= n_max depth first;
     a child appends a part no larger than its parent's last, so every
     partition is reached exactly once.  Each visit classifies its partition
-    in O(1) from state passed down the walk and adds one to hist[code][weight].
+    in O(1) from state passed down the walk and adds one to
+    hist[flags][head][low][weight], where low = min(smallest part, 3) - 1.
     The walk does not descend into a part 1: appending a 1 below a larger part
     tallies that partition, and every longer tail of 1s has one code, the
-    first 1's with odd parts no longer distinct, so one mark in
-    runs[code][weight + 1] stands for all of them, and a running sum of each
-    runs row adds them to hist.
+    first 1's with odd parts no longer distinct, so one mark in the runs row
+    of that code at weight + 1 stands for all of them, and a running sum of
+    each runs row adds them to its hist row.
     """
     width = n_max + 1
-    # hist and runs are flat: (flags * 15 + head * 3 + min(smallest, 3) - 1) * width + weight
-    flag_stride = 15 * width
-    hist = [0] * ((_ALL_FLAGS + 1) * flag_stride)
-    runs = [0] * len(hist)
-    head_at = [head * 3 * width for head in range(5)]
-    smallest_at = [0] + [(min(j, 3) - 1) * width + j for j in range(1, width)]
+    hist = [[[[0] * width for low in range(3)] for head in range(5)] for flags in range(_ALL_FLAGS + 1)]
+    runs = [[[[0] * width for low in range(3)] for head in range(5)] for flags in range(_ALL_FLAGS + 1)]
     # flags kept when appending part j below a larger part, or next to an equal one
     below = [0] + [_ALL_FLAGS if j % 4 else _ALL_FLAGS & ~_NO_FOURS for j in range(1, width)]
     equal = [0] + [below[j] & ~(_ODD_DISTINCT if j % 2 else _EVEN_DISTINCT) for j in range(1, width)]
@@ -186,45 +184,44 @@ def _enum_counts(n_max: int) -> dict[PartitionClass, tuple[int, ...]]:
 
     def walk(w: int, k: int, flags: int, equal_head: int, below_head: int) -> None:
         # Children of a node of weight w whose last part is k > 1.  Appending
-        # a part equal to k gives head row offset equal_head, a smaller part
-        # below_head; they differ only under a one-part node.
+        # a part equal to k gives head equal_head, a smaller part below_head;
+        # they differ only under a one-part node.  A part 2 has low 1, a larger one 2.
         room = n_max - w
         j = k if k < room else room
         if j == k:
             f = flags & equal[j]
-            hist[f * flag_stride + equal_head + smallest_at[j] + w] += 1
+            hist[f][equal_head][(j > 2) + 1][w + j] += 1
             if j < room:
                 walk(w + j, j, f, equal_head, equal_head)
             j -= 1
         while j > 1:
             f = flags & below[j]
-            hist[f * flag_stride + below_head + smallest_at[j] + w] += 1
+            hist[f][below_head][(j > 2) + 1][w + j] += 1
             if j < room:
                 walk(w + j, j, f, below_head, below_head)
             j -= 1
-        if j:  # a first 1 keeps every flag; then the run of longer tails of 1s (smallest-1 rows sit at offset 0)
-            hist[flags * flag_stride + below_head + w + 1] += 1
+        if j:  # a first 1 keeps every flag; then the run of longer tails of 1s
+            hist[flags][below_head][0][w + 1] += 1
             if room > 1:
-                runs[(flags & ones) * flag_stride + below_head + w + 2] += 1
+                runs[flags & ones][below_head][0][w + 2] += 1
 
-    hist[_ALL_FLAGS * flag_stride + head_at[_EMPTY]] += 1  # the empty partition
+    hist[_ALL_FLAGS][_EMPTY][0][0] += 1  # the empty partition
     for a in range(1, width):  # the one-part partitions (a) and their subtrees
         single = _ODD_SINGLE if a % 2 else _EVEN_SINGLE
-        hist[below[a] * flag_stride + head_at[single] + smallest_at[a]] += 1
+        hist[below[a]][single][min(a, 3) - 1][a] += 1
         if a == 1:  # below (1) lies only the run (1, 1), (1, 1, 1), ...
             if n_max > 1:
-                runs[ones * flag_stride + head_at[_ODD_REPEATED] + 2] += 1
+                runs[ones][_ODD_REPEATED][0][2] += 1
         elif a < n_max:
-            walk(a, a, below[a], head_at[single + 1], head_at[single])
+            walk(a, a, below[a], single + 1, single)
 
     tables = {cls: [0] * width for cls in PartitionClass}
     for flags in range(_ALL_FLAGS + 1):
         for head in range(5):
-            for smallest in (1, 2, 3):
-                start = flags * flag_stride + head_at[head] + (smallest - 1) * width
-                row = list(map(add, hist[start:start + width], accumulate(runs[start:start + width])))
+            for low in range(3):
+                row = list(map(add, hist[flags][head][low], accumulate(runs[flags][head][low])))
                 if any(row):  # most codes never occur; skip their additions into every member class's row
-                    for cls in _code_members(flags, head, smallest):
+                    for cls in _code_members(flags, head, low + 1):
                         tables[cls] = [a + b for a, b in zip(tables[cls], row)]
     return {cls: tuple(row) for cls, row in tables.items()}
 
@@ -341,11 +338,10 @@ def _stored_counts(partition_class: PartitionClass, n_max: int, tag: str) -> tup
     if len(counts) <= n_max:
         if not isinstance(partition_class, PartitionClass):
             raise _not_a_class(partition_class)
-        if tag == "DP":
-            _TABLES[key] = _dp_counts(partition_class, n_max)
-        else:  # one enum walk fills every class, one series build every class with the same quotient
-            built = _enum_counts(n_max) if tag == "ENUM" else _series_counts(partition_class, n_max)
-            _TABLES.update(((tag, cls), row) for cls, row in built.items())
+        # A dp build fills its own class, an enum walk every class, a series build every class with its quotient.
+        built = _enum_counts(n_max) if tag == "ENUM" else (_dp_counts if tag == "DP" else _series_counts)(
+            partition_class, n_max)
+        _TABLES.update(((tag, cls), row) for cls, row in built.items())
         counts = _TABLES[key]
     return counts
 

@@ -210,12 +210,12 @@ def test_dp_matches_the_dense_sweep_at_every_size():
     for cls in PartitionClass:
         dense = _dense_dp(cls, 200)
         for n_max in range(201):
-            assert counting._dp_counts(cls, n_max) == dense[: n_max + 1], (cls, n_max)
+            assert counting._dp_counts(cls, n_max)[cls] == dense[: n_max + 1], (cls, n_max)
 
 
 def test_dp_matches_the_dense_sweep_at_1000():
     for cls in PartitionClass:
-        assert counting._dp_counts(cls, 1000) == _dense_dp(cls, 1000), cls
+        assert counting._dp_counts(cls, 1000)[cls] == _dense_dp(cls, 1000), cls
 
 
 # sha256 of one "class:c0,c1,...,c3000" line per class, in PartitionClass
@@ -226,7 +226,7 @@ DP_3000_SHA256 = "e2df9a152230bf4df00ddb670c0faab27f8d9060a0aecb64083e4e8f42eedf
 
 
 def test_dp_tables_at_3000_are_pinned():
-    lines = [f"{cls.value}:{','.join(map(str, counting._dp_counts(cls, 3000)))}\n" for cls in PartitionClass]
+    lines = [f"{cls.value}:{','.join(map(str, counting._dp_counts(cls, 3000)[cls]))}\n" for cls in PartitionClass]
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == DP_3000_SHA256
 
 
@@ -486,12 +486,20 @@ def test_store_keeps_one_longest_table_per_backend_and_class(empty_store):
         assert value == reference[cls][n], (backend, cls, n)
 
 
-@pytest.mark.parametrize("group", SERIES_GROUPS)
+# What one request builds and stores: a series request its quotient group,
+# a dp request its own class (None), an enum request every class.
+STORED_GROUPS = (*(("series", group) for group in SERIES_GROUPS), ("dp", None), ("enum", tuple(PartitionClass)))
+
+
+@pytest.mark.parametrize("group", STORED_GROUPS)
 def test_a_series_request_stores_exactly_its_quotient_group(group, empty_store):
-    for cls in group:
+    backend, classes = group
+    n = SIZES[backend][1]
+    for cls in classes or PartitionClass:
         empty_store.clear()
-        count_table(cls, 50, "series")
-        assert {key: len(t) for key, t in empty_store.items()} == {("SERIES", c): 51 for c in group}, cls
+        count_table(cls, n, backend)
+        stored = {(backend.upper(), c): n + 1 for c in classes or (cls,)}
+        assert {key: len(t) for key, t in empty_store.items()} == stored, cls
 
 
 def _store_errors():

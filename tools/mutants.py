@@ -59,6 +59,22 @@ CATALOGUE = [
     ("listing-below-lowest", ENUM, "lowest - 1, -step)", "0, -step)", None),
     ("listing-ends-above-small", ENUM, "elif left in tails and (left or v <= closes):", "elif left in tails:", None),
     ("listing-tails-above-small", ENUM, " if lowest <= closes else {}", "", None),
+    # The listing's copies bounds: most copies first in fill, a distinct part once, the top's copies range,
+    # and the lowest part's tails.
+    ("listing-fill-drops-most-copies", ENUM, "else rest // v, 0, -1)", "else rest // v - 1, 0, -1)", None),
+    ("listing-fill-repeats-distinct", ENUM, "range(1 if v % 2 == distinct else rest // v",
+     "range(2 if v % 2 == distinct else rest // v", None),
+    ("listing-top-ignores-most", ENUM, "most if most_top is None else min(most, most_top)", "most", None),
+    ("listing-top-skips-fewest", ENUM, "fewest_top - 1, -1)", "fewest_top, -1)", None),
+    ("listing-tails-repeat-distinct-lowest", ENUM, "most_lowest = 1 if lowest % 2 == distinct else n // lowest",
+     "most_lowest = n // lowest", None),
+    # ZS1's branches in partitions_of: the 2 -> 1, 1 step, the freed weight, the spread's bound, the remainder.
+    ("zs1-two-step-drops-a-1", ENUM, "            h -= 1\n            m += 1\n", "            h -= 1\n", None),
+    ("zs1-freed-weight-short", ENUM, "t = m - h", "t = m - h - 1", None),
+    ("zs1-spread-strict", ENUM, "while t >= r:", "while t > r:",
+     "with t == r left over, the remainder branch places the same part r at the same index and sets the same m"),
+    ("zs1-remainder-dropped", ENUM, "m = h + 1 if t == 0 else h + 2", "m = h + 1", None),
+    ("zs1-remainder-1-as-last-part-above-1", ENUM, "if t > 1:", "if t > 0:", None),
     # The shape table: letters, map sides, unions and primes.
     ("letter-c-d-keep-small-parts", BIJ, "_replace(lowest=small + 1)", "_replace(lowest=small)", None),
     ("letter-b-no-small-part", BIJ, "whole._replace(top_parity=top, gap=1, small=small)",
@@ -115,12 +131,15 @@ CATALOGUE = [
     ("exchange-a-drops-filler-2", BIJ, "if filler % 2 or filler == 2:", "if filler % 2:", None),
     ("exchange-b-prime-at-lowest", BIJ, "a != lowest + 1:", "a != lowest:", None),
     ("sub-swaps-below-l-minus-2", BIJ, "p[1] == p[0] - 1:", "p[1] == p[0] - 2:", None),
+    # _exact's two checks on every assembled image.
+    ("exact-order-unchecked", BIJ, "if not all(map(ge, parts, parts[1:])):", "if False:", None),
+    ("exact-nonpositive-unchecked", BIJ, "if parts and parts[-1] < 1:", "if False:", None),
     # The enum walk's runs of 1s: the run's code, its first weight, the all-ones run's head, the first 1's flags.
-    ("enum-run-keeps-odd-distinct", COUNT, "runs[(flags & ones) * flag_stride", "runs[flags * flag_stride", None),
-    ("enum-run-starts-at-first-1", COUNT, "below_head + w + 2] += 1", "below_head + w + 1] += 1", None),
-    ("enum-all-ones-run-single-head", COUNT, "head_at[_ODD_REPEATED] + 2]", "head_at[_ODD_SINGLE] + 2]", None),
-    ("enum-first-1-equal-flags", COUNT, "hist[flags * flag_stride + below_head + w + 1]",
-     "hist[(flags & ones) * flag_stride + below_head + w + 1]", None),
+    ("enum-run-keeps-odd-distinct", COUNT, "runs[flags & ones][below_head]", "runs[flags][below_head]", None),
+    ("enum-run-starts-at-first-1", COUNT, "[below_head][0][w + 2] += 1", "[below_head][0][w + 1] += 1", None),
+    ("enum-all-ones-run-single-head", COUNT, "runs[ones][_ODD_REPEATED][0][2]", "runs[ones][_ODD_SINGLE][0][2]", None),
+    ("enum-first-1-equal-flags", COUNT, "hist[flags][below_head][0][w + 1]",
+     "hist[flags & ones][below_head][0][w + 1]", None),
     # The enum codes' classes: a size bound and a head split of _code_members.
     ("code-members-ped-gt1-keeps-1s", COUNT, "if head != _EMPTY and smallest > 1:",
      "if head != _EMPTY and smallest > 0:", None),
@@ -161,6 +180,8 @@ CATALOGUE = [
     ("apply-part-copies-swapped", COUNT, "if part % 2 == restricted_parity:", "if part % 2 != restricted_parity:",
      None),
     ("running-skips-last-residue", COUNT, "for r in range(stride):", "for r in range(stride - 1):", None),
+    ("dp-stores-under-all", COUNT, "return {partition_class: tuple(out)}", "return {PartitionClass.ALL: tuple(out)}",
+     None),
     # The series back-end: one factor's power or base, the pentagonal terms, the quotient groups one build
     # fills, the (1 - q) step.
     ("series-ped-power-flipped", COUNT, "PartitionClass.PED: ((4, 1), (1, -1))",
